@@ -19,7 +19,8 @@ int run(int argc, const char** argv) {
   Flags flags;
   flags.define("horizon-days", "7", "trace length in days");
   flags.define("seed", "2012", "workload seed");
-  flags.define("fairness-stride", "2", "evaluate every k-th job's fair start");
+  flags.define("fairness-stride", "1",
+               "evaluate every k-th job's fair start (1 = every job)");
   if (const auto parsed = flags.parse(argc, argv); !parsed.ok()) {
     std::fprintf(stderr, "%s\n%s", parsed.error().to_string().c_str(),
                  flags.usage("ablation_thresholds").c_str());

@@ -25,7 +25,8 @@ int run(int argc, const char** argv) {
   Flags flags;
   flags.define("horizon-days", "7", "trace length in days");
   flags.define("seed", "2012", "workload seed");
-  flags.define("fairness-stride", "4", "evaluate every k-th job's fair start");
+  flags.define("fairness-stride", "1",
+               "evaluate every k-th job's fair start (1 = every job)");
   if (const auto parsed = flags.parse(argc, argv); !parsed.ok()) {
     std::fprintf(stderr, "%s\n%s", parsed.error().to_string().c_str(),
                  flags.usage("fig3_balance_sweep").c_str());

@@ -6,8 +6,9 @@
 // adaptive: wait -71%, LoC -23%, unfair ~2x base in the original).
 //
 // An eighth row runs the digital-twin WhatIfTuner (src/twin); it skips
-// the fair-start oracle (replaying a twin-consulting policy per probe is
-// O(n) twin sweeps) and instead reports the twin's own overhead counters.
+// the fair-start oracle (the twin replays later arrivals, which breaks the
+// oracle's precondition, see metrics/fairness.hpp) and instead reports the
+// twin's own overhead counters.
 // Pass --json=path (default BENCH_table2.json, empty disables) to emit
 // the per-policy metrics and wall-clock timings machine-readably.
 #include <chrono>
@@ -33,7 +34,8 @@ int run(int argc, const char** argv) {
   Flags flags;
   flags.define("horizon-days", "7", "trace length in days");
   flags.define("seed", "2012", "workload seed");
-  flags.define("fairness-stride", "2", "evaluate every k-th job's fair start");
+  flags.define("fairness-stride", "1",
+               "evaluate every k-th job's fair start (1 = every job)");
   flags.define("threshold", "250",
                "QD threshold (minutes); default = the knee of the D3 threshold "
                "ablation for this workload (the paper's rule — a recent-period "

@@ -63,7 +63,8 @@ void WhatIfTuner::on_metric_check(SchedContext& ctx, double queue_depth_minutes)
   if (due) {
     // The snapshot's scheduler state is mid-callback (checks_seen_ already
     // counted) — forks discard it (ResumeScheduler::kFresh), so that is
-    // harmless; only SimConfig::snapshot_sink snapshots support kRestore.
+    // harmless; only snapshots taken outside the scheduler's callbacks
+    // (SimConfig::snapshot_sink, SimConfig::on_instant_end) support kRestore.
     const SimSnapshot snapshot = ctx.capture();
     const auto candidates = make_candidates();
     obs::TraceSink* tr = ctx.recorder();

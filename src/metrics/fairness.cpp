@@ -1,6 +1,10 @@
 #include "metrics/fairness.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
+
+#include "sim/snapshot.hpp"
 
 namespace amjs {
 
@@ -9,21 +13,8 @@ FairStartEvaluator::FairStartEvaluator(MachineFactory machine_factory,
                                        SimConfig sim_config)
     : machine_factory_(std::move(machine_factory)),
       scheduler_factory_(std::move(scheduler_factory)),
-      sim_config_(sim_config) {
+      sim_config_(std::move(sim_config)) {
   assert(machine_factory_ && scheduler_factory_);
-}
-
-SimTime FairStartEvaluator::fair_start_of(const JobTrace& trace, JobId id) const {
-  const JobTrace truncated = trace.truncated_at(trace.job(id).submit);
-  auto machine = machine_factory_();
-  auto scheduler = scheduler_factory_();
-
-  SimConfig config = sim_config_;
-  config.record_events = false;  // probe runs need no LoC log
-  config.stop_once_started = id;
-  Simulator sim(*machine, *scheduler, config);
-  const SimResult probe = sim.run(truncated);
-  return probe.schedule[static_cast<std::size_t>(id)].start;
 }
 
 FairnessResult FairStartEvaluator::evaluate(const JobTrace& trace,
@@ -35,20 +26,56 @@ FairnessResult FairStartEvaluator::evaluate(const JobTrace& trace,
   FairnessResult result;
   result.fair_start.assign(trace.size(), kNever);
 
+  // Probed jobs in id order, which is submission order.
+  std::vector<JobId> probes;
   for (std::size_t i = 0; i < trace.size(); i += stride) {
     const auto& entry = actual.schedule[i];
     if (entry.skipped || !entry.started()) continue;
-    const auto id = static_cast<JobId>(i);
     if (entry.start == entry.submit) {
       // Started instantly: fair start cannot be earlier than submission,
-      // so the job is fair by construction — skip the probe simulation.
+      // so the job is fair by construction — skip the probe.
       result.fair_start[i] = entry.submit;
       continue;
     }
-    const SimTime fair = fair_start_of(trace, id);
-    result.fair_start[i] = fair;
-    if (fair == kNever) continue;  // probe could not place the job
-    if (entry.start > fair + tolerance) {
+    probes.push_back(static_cast<JobId>(i));
+  }
+  if (probes.empty()) return result;
+
+  SimConfig fork_config = sim_config_;
+  fork_config.record_events = false;  // no run here needs the LoC log
+  const auto fork_machine = machine_factory_();
+  const auto fork_scheduler = scheduler_factory_();
+
+  // The full run, forked at the end of every probed submit instant and
+  // cut off after the last one.
+  std::size_t next = 0;  // first probe not forked yet
+  SimConfig full_config = fork_config;
+  full_config.stop_at = std::min(full_config.stop_at, trace.job(probes.back()).submit);
+  full_config.on_instant_end = [&](const SchedContext& ctx) {
+    const SimTime now = ctx.now();
+    if (next == probes.size() || trace.job(probes[next]).submit != now) return;
+    const JobTrace truncated = trace.truncated_at(now);
+    SimSnapshot fork = ctx.capture();
+    truncate_snapshot(fork, truncated.size());
+    for (; next < probes.size() && trace.job(probes[next]).submit == now; ++next) {
+      const JobId id = probes[next];
+      fork_config.stop_once_started = id;
+      Simulator sim(*fork_machine, *fork_scheduler, fork_config);
+      result.fair_start[static_cast<std::size_t>(id)] =
+          sim.resume(truncated, fork).schedule[static_cast<std::size_t>(id)].start;
+    }
+  };
+  {
+    const auto machine = machine_factory_();
+    const auto scheduler = scheduler_factory_();
+    Simulator full(*machine, *scheduler, full_config);
+    (void)full.run(trace);
+  }
+
+  for (const JobId id : probes) {
+    const SimTime fair = result.fair_start[static_cast<std::size_t>(id)];
+    if (fair == kNever) continue;  // the fork could not place the job
+    if (actual.schedule[static_cast<std::size_t>(id)].start > fair + tolerance) {
       result.unfair_jobs.push_back(id);
     }
   }

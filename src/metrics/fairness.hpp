@@ -3,10 +3,22 @@
 // Each job's "fair start time" is the start it would get if *no job
 // arrived after it*, under the same scheduling policy. A job that actually
 // started later than that was pushed back by later arrivals — it was
-// treated unfairly. The oracle re-simulates the truncated workload once
-// per evaluated job (the inner run stops as soon as the probe job starts),
-// so evaluation is O(n) simulations — the dominant cost of the Fig. 3(b)
-// and Table II benches.
+// treated unfairly.
+//
+// By definition a fair start is the probe job's start in a simulation of
+// trace.truncated_at(submit). The evaluator does not re-run that from
+// t=0 per job: it runs the full trace once, and at the end of each probed
+// job's submit instant it forks the run (a kInstantEnd snapshot, see
+// sim/snapshot.hpp) with the later submits dropped, then resumes the fork
+// until the probe job starts. Up to that instant the truncated run and the
+// full run have processed the same events, so the fork's state is the
+// truncated run's state and its start is the fair start.
+//
+// Precondition: the policy's decisions at time t depend only on the jobs
+// submitted by t. Every policy in src/sched and src/core meets it except
+// WhatIfTuner, whose twin replays later arrivals from ctx.trace(): forked
+// from the full run it sees arrivals the truncated run never has, so its
+// fair starts are not the definition's. No caller evaluates its fairness.
 #pragma once
 
 #include <functional>
@@ -36,7 +48,8 @@ class FairStartEvaluator {
   using SchedulerFactory = std::function<std::unique_ptr<Scheduler>()>;
 
   /// Factories must reproduce the machine/policy of the run being judged;
-  /// fresh instances are built per probe job.
+  /// evaluate() builds one instance pair for its full run and one for the
+  /// forks.
   FairStartEvaluator(MachineFactory machine_factory,
                      SchedulerFactory scheduler_factory,
                      SimConfig sim_config = {});
@@ -46,12 +59,13 @@ class FairStartEvaluator {
   /// counts any delay; 0 by default).
   /// `stride`: evaluate every job (1) or a systematic sample (>1) — the
   /// sampled unfair count is scaled by the stride in reports, not here.
+  /// Cost: one full-trace simulation; per probed submit instant, an O(n)
+  /// snapshot; per probed job (started, but not on arrival), an O(n)
+  /// restore and a fork that runs until the job starts. Forks run one at
+  /// a time, so memory stays that of one run.
   [[nodiscard]] FairnessResult evaluate(const JobTrace& trace, const SimResult& actual,
                                         Duration tolerance = 0,
                                         std::size_t stride = 1) const;
-
-  /// Fair start of a single job (exposed for tests).
-  [[nodiscard]] SimTime fair_start_of(const JobTrace& trace, JobId id) const;
 
  private:
   MachineFactory machine_factory_;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "util/types.hpp"
@@ -35,12 +34,17 @@ class EventQueue {
   void push(SimTime time, EventType type, JobId job);
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] const Event& top() const { return heap_.top(); }
+  [[nodiscard]] const Event& top() const { return heap_.front(); }
   Event pop();
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
+  /// Remove every pending event of `type` with one O(n) filter and
+  /// re-heapify. The survivors keep their seq numbers, so they pop in the
+  /// same relative order as before. Returns the number removed.
+  std::size_t drop(EventType type);
+
   /// Pending events in ascending (time, type, seq) order — the order pop()
-  /// would return them. O(n log n) copy-and-drain; serialization and
+  /// would return them. O(n log n) sorted copy; serialization and
   /// inspection only, the queue itself is untouched.
   [[nodiscard]] std::vector<Event> sorted() const;
 
@@ -62,7 +66,9 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  /// Binary heap under Later (std::push_heap / std::pop_heap), kept as a
+  /// plain vector so drop() can filter it in place.
+  std::vector<Event> heap_;
   std::uint64_t next_seq_ = 0;
 };
 

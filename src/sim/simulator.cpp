@@ -82,6 +82,20 @@ bool SchedContext::start_job(JobId id, int placement) {
   return true;
 }
 
+void truncate_snapshot(SimSnapshot& snapshot, std::size_t kept) {
+  assert(snapshot.point == SnapshotPoint::kInstantEnd && kept <= snapshot.states.size());
+  const std::size_t later = snapshot.states.size() - kept;
+  [[maybe_unused]] const std::size_t dropped =
+      snapshot.events.drop(EventType::kJobSubmit);
+  assert(dropped == later && "a job submitted by now still has a pending submit");
+  snapshot.states.resize(kept);
+  snapshot.attempts.resize(kept);
+  snapshot.failure_pending.resize(kept);
+  snapshot.attempt_start.resize(kept);
+  snapshot.result.schedule.resize(kept);
+  snapshot.unfinished -= later;
+}
+
 void Scheduler::on_metric_check(SchedContext& /*ctx*/, double /*queue_depth_minutes*/) {}
 
 void Scheduler::restore_state(const SchedulerState& /*state*/) { reset(); }
@@ -194,7 +208,7 @@ void Simulator::record_sched_event() {
 }
 
 SimSnapshot Simulator::capture() const {
-  assert(in_metric_check_ && "capture outside a metric-check instant");
+  assert((in_metric_check_ || at_instant_end_) && "capture outside a snapshot point");
   static obs::Timer& capture_timer =
       obs::Registry::global().timer("sim.snapshot_capture");
   obs::ScopedTimer timed(capture_timer);
@@ -205,6 +219,8 @@ SimSnapshot Simulator::capture() const {
   }
   SimSnapshot snap;
   snap.now = now_;
+  snap.point =
+      in_metric_check_ ? SnapshotPoint::kMetricCheck : SnapshotPoint::kInstantEnd;
   snap.events = events_;
   snap.states = states_;
   snap.queue = queue_;
@@ -250,6 +266,17 @@ void Simulator::run_sched_pass(SchedContext& ctx) {
                     {obs::arg("queued", queue_before),
                      obs::arg("started", queue_before - queue_.size()),
                      obs::arg("idle_nodes", machine_.idle_nodes())});
+  }
+}
+
+void Simulator::finish_instant(SchedContext& ctx, bool state_changed) {
+  run_sched_pass(ctx);
+  if (state_changed) record_sched_event();
+  result_.end_time = now_;
+  if (config_.on_instant_end) {
+    at_instant_end_ = true;
+    config_.on_instant_end(ctx);
+    at_instant_end_ = false;
   }
 }
 
@@ -332,18 +359,19 @@ SimResult Simulator::resume(const JobTrace& trace, const SimSnapshot& snapshot,
     }
   }
 
-  // Replay the captured instant's tail: the snapshot point sits between
-  // the queue-depth sample and the on_metric_check -> schedule passes of
-  // that metric check (see sim/snapshot.hpp).
   SchedContext ctx(*this);
-  in_metric_check_ = true;
-  last_queue_depth_ = snapshot.queue_depth_minutes;
-  instant_state_changed_ = snapshot.state_changed;
-  scheduler_.on_metric_check(ctx, snapshot.queue_depth_minutes);
-  in_metric_check_ = false;
-  run_sched_pass(ctx);
-  if (snapshot.state_changed) record_sched_event();
-  result_.end_time = now_;
+  if (snapshot.point == SnapshotPoint::kMetricCheck) {
+    // Replay the captured instant's tail: the snapshot point sits between
+    // the queue-depth sample and the on_metric_check -> schedule passes of
+    // that metric check (see sim/snapshot.hpp). A kInstantEnd snapshot's
+    // instant is already complete.
+    in_metric_check_ = true;
+    last_queue_depth_ = snapshot.queue_depth_minutes;
+    instant_state_changed_ = snapshot.state_changed;
+    scheduler_.on_metric_check(ctx, snapshot.queue_depth_minutes);
+    in_metric_check_ = false;
+    finish_instant(ctx, snapshot.state_changed);
+  }
   if (stop_job_settled()) {
     trace_ = nullptr;
     return std::move(result_);
@@ -403,9 +431,7 @@ SimResult Simulator::drain(SchedContext& ctx) {
       in_metric_check_ = false;
     }
 
-    run_sched_pass(ctx);
-    if (state_changed) record_sched_event();
-    result_.end_time = now_;
+    finish_instant(ctx, state_changed);
 
     if (stop_job_settled()) break;
     if (config_.stop_after_passes != 0 && passes_run_ >= config_.stop_after_passes) {

@@ -64,11 +64,13 @@ class SchedContext {
   /// The trace being simulated (twin forks replay the same trace).
   [[nodiscard]] const JobTrace& trace() const;
 
-  /// Capture the full simulation state. Valid only inside
-  /// Scheduler::on_metric_check — the snapshot point is pinned to the
-  /// metric-check instant so Simulator::resume can replay the rest of the
-  /// instant exactly (see sim/snapshot.hpp for the contract). What-if
-  /// policies hand the snapshot to a TwinEngine to fork candidate futures.
+  /// Capture the full simulation state. Valid at the two snapshot points
+  /// of sim/snapshot.hpp and nowhere else: inside Scheduler::on_metric_check
+  /// (a kMetricCheck snapshot; Simulator::resume replays the rest of the
+  /// instant exactly) and inside SimConfig::on_instant_end (a kInstantEnd
+  /// snapshot; resume continues with the next instant). What-if policies
+  /// hand the former to a TwinEngine to fork candidate futures; the
+  /// fair-start oracle forks its probes from the latter.
   [[nodiscard]] SimSnapshot capture() const;
 
   /// Time the job has been waiting so far.
@@ -164,6 +166,14 @@ struct SimConfig {
   /// Simulator::resume continues the run exactly as if uninterrupted.
   std::function<void(const SimSnapshot&)> snapshot_sink;
 
+  /// If set, invoked at the end of every instant — after the instant's
+  /// scheduling pass and its event record, before the run's stop checks —
+  /// with the run's context. ctx.capture() is valid inside the callback
+  /// and yields a kInstantEnd snapshot, which Simulator::resume continues
+  /// from the next instant on. Capturing is optional: callers that fork
+  /// only at some instants test ctx.now() and return.
+  std::function<void(const SchedContext&)> on_instant_end;
+
   /// If set, structured run events (job lifecycle, scheduler passes,
   /// metric checks, snapshots, tuning decisions) are recorded here; see
   /// src/obs/trace.hpp. Any TraceSink works: the in-memory TraceRecorder
@@ -230,7 +240,11 @@ class Simulator {
   void run_sched_pass(SchedContext& ctx);
   [[nodiscard]] double queue_depth_minutes() const;
 
-  /// Build a snapshot of the current state (metric-check instants only).
+  /// Close the current instant: the scheduling pass, the event record
+  /// when job events fired, the end time, then SimConfig::on_instant_end.
+  void finish_instant(SchedContext& ctx, bool state_changed);
+
+  /// Build a snapshot of the current state (at a snapshot point only).
   [[nodiscard]] SimSnapshot capture() const;
 
   /// Pop-and-dispatch until the event queue drains or a stop condition
@@ -268,6 +282,7 @@ class Simulator {
   double last_queue_depth_ = 0.0;
   bool instant_state_changed_ = false;
   bool in_metric_check_ = false;
+  bool at_instant_end_ = false;  // inside SimConfig::on_instant_end
   SimResult result_;
 };
 

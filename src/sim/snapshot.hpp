@@ -1,12 +1,24 @@
 // SimSnapshot — a full mid-run checkpoint of the simulator.
 //
-// Snapshot point contract: a snapshot is taken at a metric-check instant,
-// after the instant's job events were dispatched, the queue-depth sample
-// recorded, and the next metric check enqueued — but *before* the
-// scheduler's on_metric_check and schedule() passes of that instant.
-// Simulator::resume therefore replays exactly that tail (tuning callback,
-// scheduling pass, event-record bookkeeping) and then drains the event
-// queue, reproducing the uninterrupted run bit for bit.
+// Snapshot point contract. A snapshot is taken at one of two points of an
+// instant, recorded in SimSnapshot::point:
+//
+//  * kMetricCheck (SimConfig::snapshot_sink, or SchedContext::capture()
+//    inside Scheduler::on_metric_check): after the instant's job events
+//    were dispatched, the queue-depth sample recorded, and the next metric
+//    check enqueued — but *before* the scheduler's on_metric_check and
+//    schedule() passes of that instant. Simulator::resume replays exactly
+//    that tail (tuning callback, scheduling pass, event-record bookkeeping)
+//    and then drains the event queue.
+//  * kInstantEnd (SchedContext::capture() inside SimConfig::on_instant_end):
+//    after the instant's scheduling pass and its event record — the
+//    instant is complete. Simulator::resume goes straight to the event
+//    loop; there is no tail to replay. These snapshots exist for in-process
+//    forks (the fair-start oracle) and are not serializable: the snapshot
+//    codec refuses them.
+//
+// Either way, resuming with ResumeScheduler::kRestore reproduces the
+// uninterrupted run bit for bit.
 //
 // Snapshots are value types: copying one is cheap-ish (the vectors copy;
 // the machine and scheduler states are shared immutably), and one snapshot
@@ -18,6 +30,7 @@
 // then diverge freely without touching the snapshot or each other.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -25,9 +38,17 @@
 
 namespace amjs {
 
+/// Where in its instant a snapshot was taken (see the contract above).
+enum class SnapshotPoint : std::uint8_t {
+  kMetricCheck,  // before the metric check's tuning callback and pass
+  kInstantEnd,   // after the instant's pass and event record
+};
+
 struct SimSnapshot {
-  /// Instant the snapshot was taken (a metric-check time).
+  /// Instant the snapshot was taken.
   SimTime now = 0;
+
+  SnapshotPoint point = SnapshotPoint::kMetricCheck;
 
   /// Pending future events (job ends, submits, the next metric check).
   EventQueue events;
@@ -45,13 +66,16 @@ struct SimSnapshot {
   SimResult result;
 
   /// Did job events coincide with this metric check? (Drives the
-  /// record_sched_event bookkeeping when the instant's tail is replayed.)
+  /// record_sched_event bookkeeping when the instant's tail is replayed;
+  /// kMetricCheck snapshots only.)
   bool state_changed = false;
 
-  /// The queue-depth sample recorded at this check (minutes).
+  /// The queue-depth sample recorded at this check (minutes; kMetricCheck
+  /// snapshots only).
   double queue_depth_minutes = 0.0;
 
-  /// Ordinal of the metric check this snapshot was taken at (1-based).
+  /// Metric checks processed so far; for a kMetricCheck snapshot, the
+  /// 1-based ordinal of the check it was taken at.
   std::size_t check_index = 0;
 
   /// Immutable saved machine / scheduler states, shared across copies.
@@ -63,5 +87,14 @@ struct SimSnapshot {
   /// not restorable).
   [[nodiscard]] bool valid() const { return machine != nullptr; }
 };
+
+/// Cut a kInstantEnd snapshot of a run of `trace` down to the state a run
+/// of trace.truncated_at(snapshot.now) — the first `kept` jobs — holds at
+/// the same point. The later jobs are still pending: their submit events,
+/// per-job slots and share of `unfinished` go. Every other event keeps its
+/// seq, so ties pop in the truncated run's order; resuming the result
+/// against the truncated trace continues that run exactly, provided the
+/// policy's decisions so far did not depend on the later jobs.
+void truncate_snapshot(SimSnapshot& snapshot, std::size_t kept);
 
 }  // namespace amjs

@@ -313,6 +313,12 @@ Result<SimSnapshot> decode_payload(std::string_view payload) {
 }  // namespace
 
 Result<std::string> write_snapshot(const SimSnapshot& snapshot) {
+  if (snapshot.point != SnapshotPoint::kMetricCheck) {
+    // The format has no snapshot-point field: decoded, an end-of-instant
+    // snapshot would resume as a metric-check one and replay a tail that
+    // already ran.
+    return Error{"cannot serialize an end-of-instant snapshot"};
+  }
   auto payload = encode_payload(snapshot);
   if (!payload) return payload.error();
   ByteWriter w;

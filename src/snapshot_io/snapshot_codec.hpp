@@ -33,8 +33,10 @@ namespace amjs::snapshot_io {
 inline constexpr std::string_view kSnapshotMagic = "AMJSSNAP";
 inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
 
-/// Serialize to the container format (header + payload + CRC). Fails only
-/// if a held state has no registered codec.
+/// Serialize to the container format (header + payload + CRC). Fails if a
+/// held state has no registered codec, or if the snapshot is not a
+/// metric-check snapshot (SnapshotPoint::kInstantEnd snapshots are for
+/// in-process forks only; the format cannot tell them apart).
 [[nodiscard]] Result<std::string> write_snapshot(const SimSnapshot& snapshot);
 
 /// Parse a container produced by write_snapshot.

@@ -8,6 +8,7 @@
 #include "platform/flat.hpp"
 #include "sched/easy.hpp"
 #include "sim/simulator.hpp"
+#include "support/fair_start_reference.hpp"
 
 namespace amjs {
 namespace {
@@ -52,11 +53,19 @@ TEST(FairnessTest, FairStartMatchesSoloRun) {
       make_job(0, 600, 80),
       make_job(10, 300, 50),
   });
-  const auto eval = easy_evaluator(100);
+  FlatMachine machine(100);
+  EasyBackfillScheduler sched;
+  const auto result = Simulator(machine, sched).run(trace);
+  const auto fairness = easy_evaluator(100).evaluate(trace, result);
   // Job 1's fair start: with no later arrivals it still waits for job 0.
-  EXPECT_EQ(eval.fair_start_of(trace, 1), 600);
+  EXPECT_EQ(fairness.fair_start[1], 600);
   // Job 0's fair start is its submit.
-  EXPECT_EQ(eval.fair_start_of(trace, 0), 0);
+  EXPECT_EQ(fairness.fair_start[0], 0);
+  // The definition's from-t=0 re-simulation agrees.
+  const test_support::ReferenceFairStart reference(
+      [] { return std::make_unique<FlatMachine>(100); },
+      [] { return std::make_unique<EasyBackfillScheduler>(); });
+  EXPECT_EQ(reference.fair_start_of(trace, 1), 600);
 }
 
 TEST(FairnessTest, SjfReorderingCreatesUnfairJobs) {

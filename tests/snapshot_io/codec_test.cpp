@@ -305,6 +305,30 @@ TEST(SnapshotCodecCorruption, TrailingGarbageRejected) {
   EXPECT_FALSE(snapshot_io::read_snapshot(container).ok());
 }
 
+TEST(SnapshotCodecCorruption, EndOfInstantSnapshotRefused) {
+  // The format has no snapshot-point field; encoding an end-of-instant
+  // snapshot would decode as a metric-check one and replay a tail that
+  // already ran. Both writers must refuse it.
+  SimSnapshot snapshot;
+  SimConfig config;
+  config.on_instant_end = [&](const SchedContext& ctx) {
+    if (ctx.now() >= 2000 && !snapshot.valid()) snapshot = ctx.capture();
+  };
+  FlatMachine machine(100);
+  EasyBackfillScheduler sched;
+  (void)Simulator(machine, sched, config).run(contended_trace());
+  ASSERT_TRUE(snapshot.valid());
+  ASSERT_EQ(snapshot.point, SnapshotPoint::kInstantEnd);
+
+  const auto bytes = snapshot_io::write_snapshot(snapshot);
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_NE(bytes.error().message.find("end-of-instant"), std::string::npos);
+
+  const std::string path = ::testing::TempDir() + "amjs_codec_instant_end.snap";
+  EXPECT_FALSE(snapshot_io::write_snapshot_file(snapshot, path).ok());
+  EXPECT_FALSE(snapshot_io::read_snapshot_file(path).ok()) << "a file was written";
+}
+
 // --- File round-trip. --------------------------------------------------
 
 TEST(SnapshotCodecFile, WriteReadRoundtrip) {

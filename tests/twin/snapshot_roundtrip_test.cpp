@@ -1,12 +1,16 @@
 // Snapshot determinism: resuming a run from a mid-run SimSnapshot must
 // reproduce the uninterrupted run's SimResult exactly — for both machine
-// models and for stateless, reactive-adaptive, and twin-consulting
-// schedulers (the snapshot-point contract of sim/snapshot.hpp).
+// models, both snapshot points, and for stateless, reactive-adaptive, and
+// twin-consulting schedulers (the snapshot-point contract of
+// sim/snapshot.hpp).
 #include "sim/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/adaptive.hpp"
@@ -211,6 +215,138 @@ TEST(SnapshotRoundtrip, EveryCheckpointResumesIdentically) {
     const SimResult resumed =
         forked.resume(trace, snapshots[pick], ResumeScheduler::kRestore);
     expect_results_identical(baseline, resumed);
+  }
+}
+
+std::string result_json(const SimResult& result) {
+  std::ostringstream out;
+  write_result_json(out, result);
+  return out.str();
+}
+
+/// Capture kInstantEnd snapshots at the end of the given instants
+/// (1-based) through SimConfig::on_instant_end, resume each on fresh
+/// instances with nothing truncated, and require the uninterrupted run's
+/// result JSON byte for byte.
+template <typename MakeMachine, typename MakeScheduler>
+void instant_end_roundtrip(const JobTrace& trace, const MakeMachine& make_machine,
+                           const MakeScheduler& make_scheduler,
+                           const std::vector<std::size_t>& instants) {
+  std::vector<SimSnapshot> snapshots;
+  std::size_t instant = 0;
+  SimConfig config;
+  config.on_instant_end = [&](const SchedContext& ctx) {
+    ++instant;
+    for (const std::size_t pick : instants) {
+      if (pick == instant) snapshots.push_back(ctx.capture());
+    }
+  };
+  auto machine_a = make_machine();
+  auto sched_a = make_scheduler();
+  const std::string baseline =
+      result_json(Simulator(*machine_a, *sched_a, config).run(trace));
+  ASSERT_EQ(snapshots.size(), instants.size()) << "run has only " << instant
+                                               << " instants";
+
+  for (const SimSnapshot& snapshot : snapshots) {
+    SCOPED_TRACE("instant at t=" + std::to_string(snapshot.now));
+    EXPECT_EQ(snapshot.point, SnapshotPoint::kInstantEnd);
+    auto machine_b = make_machine();
+    auto sched_b = make_scheduler();
+    Simulator forked(*machine_b, *sched_b);
+    EXPECT_EQ(result_json(forked.resume(trace, snapshot, ResumeScheduler::kRestore)),
+              baseline);
+  }
+}
+
+std::unique_ptr<Scheduler> retuning_adaptive() {
+  return std::make_unique<AdaptiveScheduler>(
+      MetricAwareConfig{},
+      std::vector<AdaptiveScheme>{AdaptiveScheme::bf_queue_depth(100.0)});
+}
+
+TEST(SnapshotRoundtrip, InstantEndFlatMachineResumesByteIdentically) {
+  instant_end_roundtrip(
+      contended_trace(), [] { return std::make_unique<FlatMachine>(100); },
+      retuning_adaptive, {1, 9, 25, 40});
+}
+
+TEST(SnapshotRoundtrip, InstantEndPartitionMachineResumesByteIdentically) {
+  instant_end_roundtrip(
+      contended_trace(),
+      [] { return std::make_unique<PartitionMachine>(small_partition_config()); },
+      retuning_adaptive, {1, 9, 25, 40});
+}
+
+/// The fair-start fork: at the end of job `id`'s submit instant, a
+/// snapshot of the full run cut by truncate_snapshot holds the state a run
+/// of trace.truncated_at(submit) holds there, and resuming it against the
+/// truncated trace finishes that run byte for byte.
+template <typename MakeMachine, typename MakeScheduler>
+void truncated_fork_roundtrip(const JobTrace& trace, const MakeMachine& make_machine,
+                              const MakeScheduler& make_scheduler, JobId id,
+                              const SimConfig& base = {}) {
+  const SimTime t = trace.job(id).submit;
+  const JobTrace truncated = trace.truncated_at(t);
+  ASSERT_LT(truncated.size(), trace.size());
+  const auto run_capturing = [&](const JobTrace& run_trace, SimSnapshot& snapshot) {
+    SimConfig config = base;
+    config.on_instant_end = [&](const SchedContext& ctx) {
+      if (ctx.now() == t) snapshot = ctx.capture();
+    };
+    auto machine = make_machine();
+    auto sched = make_scheduler();
+    return result_json(Simulator(*machine, *sched, config).run(run_trace));
+  };
+  SimSnapshot fork;
+  SimSnapshot want;
+  (void)run_capturing(trace, fork);
+  const std::string truncated_run = run_capturing(truncated, want);
+  ASSERT_TRUE(fork.valid() && want.valid());
+
+  truncate_snapshot(fork, truncated.size());
+  ASSERT_EQ(fork.unfinished, want.unfinished);
+  EXPECT_EQ(fork.states, want.states);
+  EXPECT_EQ(fork.queue, want.queue);
+  EXPECT_EQ(fork.attempts, want.attempts);
+  EXPECT_EQ(fork.attempt_start, want.attempt_start);
+  // Same pending events in the same pop order; seq numbers differ by the
+  // dropped submits pushed at the start of the full run.
+  const auto pending = [](const SimSnapshot& s) {
+    std::vector<std::pair<SimTime, JobId>> out;
+    for (const Event& e : s.events.sorted()) out.emplace_back(e.time, e.job);
+    return out;
+  };
+  EXPECT_EQ(pending(fork), pending(want));
+
+  auto machine = make_machine();
+  auto sched = make_scheduler();
+  SimConfig config = base;
+  EXPECT_EQ(result_json(Simulator(*machine, *sched, config).resume(truncated, fork)),
+            truncated_run);
+}
+
+TEST(SnapshotRoundtrip, TruncatedForkContinuesTheTruncatedRun) {
+  const auto trace = contended_trace();
+  SimConfig failures;
+  failures.failures.rate_per_node_hour = 1e-2;
+  {
+    FlatMachine machine(100);
+    const auto sched = retuning_adaptive();
+    ASSERT_GT(Simulator(machine, *sched, failures).run(trace).failure_stats.failures, 0u)
+        << "the failure profile must fire on this trace";
+  }
+  for (const JobId id : {3, 11, 20, 28}) {
+    SCOPED_TRACE("cut at job " + std::to_string(id));
+    truncated_fork_roundtrip(
+        trace, [] { return std::make_unique<FlatMachine>(100); }, retuning_adaptive, id);
+    truncated_fork_roundtrip(
+        trace,
+        [] { return std::make_unique<PartitionMachine>(small_partition_config()); },
+        retuning_adaptive, id);
+    truncated_fork_roundtrip(
+        trace, [] { return std::make_unique<FlatMachine>(100); }, retuning_adaptive, id,
+        failures);
   }
 }
 
