@@ -64,6 +64,10 @@ std::vector<JobId> MetricAwareScheduler::ranked_queue(const SchedContext& ctx) c
   return ids;
 }
 
+int MetricAwareScheduler::window_size() const {
+  return std::min(config_.policy.window_size, allocator_.max_window());
+}
+
 std::size_t MetricAwareScheduler::apply_window(
     SchedContext& ctx, Plan& plan, const std::vector<const Job*>& window,
     bool pin_all_reservations) {
@@ -168,8 +172,8 @@ void MetricAwareScheduler::schedule_easy(SchedContext& ctx,
 
   // Step 5 on the first window only: its placements (including future
   // reservations) are the protected set.
-  const auto window_len = std::min<std::size_t>(
-      ranked.size(), static_cast<std::size_t>(config_.policy.window_size));
+  const auto window_len =
+      std::min<std::size_t>(ranked.size(), static_cast<std::size_t>(window_size()));
   std::vector<const Job*> window;
   window.reserve(window_len);
   for (std::size_t i = 0; i < window_len; ++i) window.push_back(&ctx.job(ranked[i]));
@@ -201,7 +205,7 @@ void MetricAwareScheduler::schedule_conservative(SchedContext& ctx,
 
   // Step 5 window-by-window over the whole queue; every placement is
   // committed, so no reservation can be delayed (conservative semantics).
-  const auto w = static_cast<std::size_t>(config_.policy.window_size);
+  const auto w = static_cast<std::size_t>(window_size());
   for (std::size_t begin = 0; begin < ranked.size(); begin += w) {
     const std::size_t end = std::min(begin + w, ranked.size());
     std::vector<const Job*> window;

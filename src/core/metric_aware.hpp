@@ -47,7 +47,8 @@ struct MetricAwareConfig {
   /// placement (ablation D1 in DESIGN.md).
   bool exhaustive_window_search = true;
 
-  /// Hard cap on the permutation search (W! growth).
+  /// Hard cap on the permutation search (W! growth). A wider policy
+  /// window is scheduled as if it were this wide.
   int max_window = 8;
 };
 
@@ -88,6 +89,11 @@ class MetricAwareScheduler : public Scheduler {
  private:
   /// Rank the whole queue by balanced priority (steps 1-4).
   [[nodiscard]] std::vector<JobId> ranked_queue(const SchedContext& ctx) const;
+
+  /// The policy's window, clamped to what the allocator searches: a wider
+  /// window's extra slots would get no placement, so they are left to
+  /// backfill (EASY) or to the next window (conservative) instead.
+  [[nodiscard]] int window_size() const;
 
   void schedule_easy(SchedContext& ctx, const std::vector<JobId>& ranked);
   void schedule_conservative(SchedContext& ctx, const std::vector<JobId>& ranked);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <memory>
 
 #include "obs/registry.hpp"
@@ -19,15 +20,12 @@ struct Objective {
   SimTime makespan = 0;
   SimTime start_sum = 0;
 
-  [[nodiscard]] bool better_than(const Objective& other) const {
+  /// Strictly better. Both components only grow as jobs are added, so a
+  /// partial schedule (or a lower bound on every completion of it) that
+  /// does not beat `other` has no completion that does.
+  [[nodiscard]] bool beats(const Objective& other) const {
     if (makespan != other.makespan) return makespan < other.makespan;
     return start_sum < other.start_sum;
-  }
-  /// Can a partial schedule with this objective still beat `best`?
-  /// (Both components only grow as jobs are added.)
-  [[nodiscard]] bool can_beat(const Objective& best) const {
-    if (makespan != best.makespan) return makespan < best.makespan;
-    return start_sum < best.start_sum;
   }
 };
 
@@ -37,11 +35,19 @@ struct SearchState {
   Objective best_objective{kNever, kNever};
   std::vector<WindowPlacement> best;
   std::vector<WindowPlacement> current;
+  /// twin[i]: the nearest higher-priority window slot whose job has job
+  /// i's (nodes, walltime), or -1.
+  std::vector<int> twin;
+  /// starts[(d + 1) * W + i]: job i's earliest start at the tree node of
+  /// depth d; row 0 holds `now` (the root's query floor).
+  std::vector<SimTime> starts;
   std::size_t permutations = 0;
 };
 
-/// Greedily place jobs `order[depth..]`; used to evaluate one full
-/// permutation (the identity seed).
+/// Bit of window slot `i` in a used mask.
+constexpr std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << i; }
+
+/// Greedily place `window` in priority order: the identity seed.
 Objective place_all(const Plan& base, const std::vector<const Job*>& window,
                     SimTime now, std::vector<WindowPlacement>& out) {
   auto plan = base.clone();
@@ -62,6 +68,19 @@ Objective place_all(const Plan& base, const std::vector<const Job*>& window,
 // narrower mask silently aliases slots past its width — slot 32 in a
 // uint32_t mask wraps onto slot 0 and the search revisits placed jobs.
 //
+// Three exact cuts (DESIGN.md D1), each resting on the Plan::find_start
+// contract:
+//   * whole-node bound — every remaining job's start is known before
+//     recursing, and a commit never makes a start earlier, so
+//     (max end, start sum) over them bounds every completion of the node;
+//   * parent-start floors — a job's start at the parent is no later than
+//     its start here, so it is a safe query floor that skips the
+//     candidates the parent's scan already rejected;
+//   * same-shape symmetry — plans read only a job's nodes and walltime
+//     (plus its id as a memo key), so jobs of equal shape are placed in
+//     priority order only; the other orders repeat the same plan and
+//     objective, and the priority-ordered one is reached first.
+//
 // Plans with undo support (Plan::supports_undo) are explored by
 // commit + undo_last_commit on the one plan — no per-branch clone; plans
 // without it fall back to clone-per-branch. Both walks visit identical
@@ -69,30 +88,51 @@ Objective place_all(const Plan& base, const std::vector<const Job*>& window,
 void search(Plan& plan, Objective so_far, std::uint64_t used_mask,
             SearchState& state) {
   const auto& window = *state.window;
-  if (state.current.size() == window.size()) {
+  const std::size_t n = window.size();
+  const std::size_t depth = state.current.size();
+  if (depth == n) {
     ++state.permutations;
-    if (so_far.better_than(state.best_objective)) {
+    if (so_far.beats(state.best_objective)) {
       state.best_objective = so_far;
       state.best = state.current;
     }
     return;
   }
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    if (used_mask & (std::uint64_t{1} << i)) continue;
+  const SimTime* floors = &state.starts[depth * n];
+  SimTime* starts = &state.starts[(depth + 1) * n];
+  Objective bound = so_far;
+  std::uint64_t open = 0;  // jobs whose same-shape predecessors are placed
+  for (std::size_t i = 0; i < n; ++i) {
+    if (used_mask & bit(i)) continue;
+    const int twin = state.twin[i];
+    if (twin >= 0 && !(used_mask & bit(static_cast<std::size_t>(twin)))) {
+      // An unplaced twin has this job's shape and floor: same answer.
+      starts[i] = starts[twin];
+    } else {
+      starts[i] = plan.find_start(*window[i], floors[i]);
+      open |= bit(i);
+    }
+    bound.makespan = std::max(bound.makespan, starts[i] + window[i]->walltime);
+    bound.start_sum += starts[i] - state.now;
+  }
+  if (!bound.beats(state.best_objective)) return;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!(open & bit(i))) continue;
     const Job* job = window[i];
-    const SimTime start = plan.find_start(*job, state.now);
+    const SimTime start = starts[i];
     const Objective next{std::max(so_far.makespan, start + job->walltime),
                          so_far.start_sum + (start - state.now)};
-    if (!next.can_beat(state.best_objective)) continue;
+    if (!next.beats(state.best_objective)) continue;
     state.current.push_back({job->id, start});
     if (plan.supports_undo()) {
       plan.commit(*job, start);
-      search(plan, next, used_mask | (std::uint64_t{1} << i), state);
+      search(plan, next, used_mask | bit(i), state);
       plan.undo_last_commit();
     } else {
       auto child = plan.clone();
       child->commit(*job, start);
-      search(*child, next, used_mask | (std::uint64_t{1} << i), state);
+      search(*child, next, used_mask | bit(i), state);
     }
     state.current.pop_back();
   }
@@ -143,7 +183,18 @@ WindowDecision WindowAllocator::decide(const Plan& plan,
   }
   if (exhaustive_ && jobs.size() > 1 && any_fits_now &&
       state.best_objective.start_sum > 0) {
-    state.current.reserve(jobs.size());
+    const std::size_t n = jobs.size();
+    state.current.reserve(n);
+    state.twin.assign(n, -1);
+    for (std::size_t i = 1; i < n; ++i) {
+      for (std::size_t j = i; j-- > 0;) {
+        if (jobs[j]->nodes == jobs[i]->nodes && jobs[j]->walltime == jobs[i]->walltime) {
+          state.twin[i] = static_cast<int>(j);
+          break;
+        }
+      }
+    }
+    state.starts.assign((n + 1) * n, now);
     // One root clone; undo-capable plans mutate it in place down the tree.
     auto root = plan.clone();
     search(*root, Objective{now, 0}, 0, state);

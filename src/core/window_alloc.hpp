@@ -7,11 +7,13 @@
 // feasible time given running jobs and previously placed window jobs.
 //
 // The search is branch-and-bound over the permutation tree: placing a job
-// can only extend the makespan, so any prefix whose makespan already
-// reaches the incumbent is pruned. The identity (priority-order)
-// permutation is evaluated first, which both seeds a good bound and makes
-// ties resolve toward priority order — preserving fairness when reordering
-// buys nothing.
+// can only extend the makespan and the start sum, and a commit never makes
+// another job's start earlier, so a node whose bound over all of its
+// remaining jobs already reaches the incumbent is pruned. Jobs of equal
+// shape (nodes, walltime) are permuted in priority order only. The
+// identity (priority-order) permutation is evaluated first, which both
+// seeds a good bound and makes ties resolve toward priority order —
+// preserving fairness when reordering buys nothing.
 #pragma once
 
 #include <vector>

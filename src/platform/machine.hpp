@@ -55,6 +55,16 @@ class Plan {
   /// Earliest t >= earliest at which `job` could run for its full walltime
   /// given running jobs and prior commitments. Always succeeds for a job
   /// that fits the machine (the far future is empty).
+  ///
+  /// Every implementation returns the least feasible start, so two
+  /// properties hold that callers may rely on:
+  ///   (a) a commit (hard or soft) never makes find_start(job, e) earlier —
+  ///       it only removes capacity;
+  ///   (b) for every e' in [e, find_start(job, e)], find_start(job, e')
+  ///       returns the same value — nothing in [e, answer) is feasible.
+  /// The calendars' find_start memos rest on (b); the window search's
+  /// whole-node bound rests on (a), and its parent-start query floors on
+  /// (a) and (b) together.
   [[nodiscard]] virtual SimTime find_start(const Job& job, SimTime earliest) const = 0;
 
   /// Could `job` run for its full walltime starting exactly at `t`?

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/balancer.hpp"
 #include "platform/flat.hpp"
 #include "sched/easy.hpp"
 #include "sim/simulator.hpp"
@@ -159,6 +160,37 @@ TEST(MetricAwareTest, BackfillRespectsWindowReservations) {
   EXPECT_EQ(result.schedule[1].start, 1000);
   EXPECT_GE(result.schedule[2].start, 1000);
 }
+
+class WindowPastSearchCapTest : public ::testing::TestWithParam<BackfillMode> {};
+
+TEST_P(WindowPastSearchCapTest, EveryJobOfAWideWindowIsScheduled) {
+  // A policy window wider than the allocator's cap (8) must still start
+  // or reserve every job in it. 100-node machine: job 0 holds 60 nodes
+  // until t=1000; at t=1 a blocked 80-node job and eleven 1-node jobs
+  // arrive. All eleven fit beside job 0 at once, whatever the window.
+  std::vector<Job> jobs = {make_job(0, 1000, 60), make_job(1, 1000, 80)};
+  for (int i = 2; i <= 12; ++i) jobs.push_back(make_job(1, 100, 1));
+  const auto trace = trace_of(std::move(jobs));
+  for (const int w : {8, 12}) {
+    FlatMachine m(100);
+    const auto sched = MetricsBalancer::make(BalancerSpec::fixed(1.0, w, GetParam()));
+    Simulator sim(m, *sched);
+    const auto result = sim.run(trace);
+    EXPECT_EQ(result.schedule[1].start, 1000) << "W=" << w;
+    for (std::size_t i = 2; i <= 12; ++i) {
+      EXPECT_EQ(result.schedule[i].start, 1) << "W=" << w << " job " << i;
+    }
+  }
+}
+
+std::string mode_name(const ::testing::TestParamInfo<BackfillMode>& mode) {
+  return mode.param == BackfillMode::kEasy ? "Easy" : "Conservative";
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, WindowPastSearchCapTest,
+                         ::testing::Values(BackfillMode::kEasy,
+                                           BackfillMode::kConservative),
+                         mode_name);
 
 class WindowSweepTest : public ::testing::TestWithParam<int> {};
 

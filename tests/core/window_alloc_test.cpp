@@ -6,6 +6,7 @@
 
 #include "platform/flat.hpp"
 #include "platform/partition.hpp"
+#include "support/no_undo_plan.hpp"
 #include "util/rng.hpp"
 
 namespace amjs {
@@ -308,34 +309,6 @@ TEST(WindowAllocTest, GreedyPlacementPastThirtyTwoSlots) {
   }
 }
 
-/// Forwarding plan that hides the inner plan's undo support, forcing the
-/// search down its clone-per-branch fallback.
-class NoUndoPlan final : public Plan {
- public:
-  explicit NoUndoPlan(std::unique_ptr<Plan> inner) : inner_(std::move(inner)) {}
-
-  [[nodiscard]] std::unique_ptr<Plan> clone() const override {
-    return std::make_unique<NoUndoPlan>(inner_->clone());
-  }
-  [[nodiscard]] SimTime find_start(const Job& job, SimTime earliest) const override {
-    return inner_->find_start(job, earliest);
-  }
-  [[nodiscard]] bool fits_at(const Job& job, SimTime t) const override {
-    return inner_->fits_at(job, t);
-  }
-  void commit(const Job& job, SimTime start) override { inner_->commit(job, start); }
-  void commit_soft(const Job& job, SimTime start) override {
-    inner_->commit_soft(job, start);
-  }
-  [[nodiscard]] int last_placement() const override {
-    return inner_->last_placement();
-  }
-  // supports_undo stays the default false.
-
- private:
-  std::unique_ptr<Plan> inner_;
-};
-
 TEST(WindowAllocTest, UndoSearchMatchesCloneSearch) {
   // The undo-log walk and the clone-per-branch walk must choose the same
   // permutation: same placements, makespan, and leaf count. Run both over
@@ -351,7 +324,7 @@ TEST(WindowAllocTest, UndoSearchMatchesCloneSearch) {
     (void)m.start(make_job(99, 512 * rng.uniform_int(1, 3), rng.uniform_int(200, 900)), 0);
     const auto plan = m.make_plan(0);
     ASSERT_TRUE(plan->supports_undo());
-    const NoUndoPlan wrapped(plan->clone());
+    const test_support::NoUndoPlan wrapped(plan->clone());
 
     std::vector<Job> jobs;
     for (JobId i = 0; i < 5; ++i) {

@@ -50,7 +50,9 @@ TEST_P(FailurePipelineTest, EveryJobReachesATerminalState) {
     EXPECT_NE(e.end, kNever);      // finished or abandoned — never stuck
     EXPECT_GE(e.attempts, 1);
     EXPECT_LE(e.attempts, 1 + config.failures.max_restarts);
-    if (e.abandoned) EXPECT_EQ(e.attempts, 1 + config.failures.max_restarts);
+    if (e.abandoned) {
+      EXPECT_EQ(e.attempts, 1 + config.failures.max_restarts);
+    }
   }
   const auto& stats = result.failure_stats;
   EXPECT_EQ(stats.failures, stats.restarts + stats.abandoned);
@@ -122,8 +124,8 @@ TEST_P(FailurePipelineTest, FailuresCannotIncreaseUsefulWork) {
 
 INSTANTIATE_TEST_SUITE_P(Policies, FailurePipelineTest,
                          ::testing::Values(0u, 3u, 6u),  // base, best static, 2D
-                         [](const auto& info) {
-                           return "spec" + std::to_string(info.param);
+                         [](const auto& param) {
+                           return "spec" + std::to_string(param.param);
                          });
 
 }  // namespace

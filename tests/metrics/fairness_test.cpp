@@ -146,7 +146,9 @@ TEST(FairnessTest, WorksThroughBalancerFactory) {
   EXPECT_EQ(fairness.fair_start.size(), trace.size());
   // Fair starts are defined for every started job.
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (result.schedule[i].started()) EXPECT_NE(fairness.fair_start[i], kNever);
+    if (result.schedule[i].started()) {
+      EXPECT_NE(fairness.fair_start[i], kNever);
+    }
   }
 }
 

@@ -1,12 +1,16 @@
 // Property tests shared by both machine models: the planning abstraction
-// must agree with the live machine and never oversubscribe.
+// must agree with the live machine and never oversubscribe, and every Plan
+// implementation must keep the find_start contract (platform/machine.hpp).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "platform/flat.hpp"
 #include "platform/partition.hpp"
+#include "sched/calendar/calendar.hpp"
 #include "util/rng.hpp"
 
 namespace amjs {
@@ -180,10 +184,86 @@ TEST_P(PlanPropertyTest, StartFinishRoundTripRestoresIdle) {
 INSTANTIATE_TEST_SUITE_P(Machines, PlanPropertyTest,
                          ::testing::Values(MachineKind::kFlat,
                                            MachineKind::kPartition),
-                         [](const auto& info) {
-                           return info.param == MachineKind::kFlat ? "Flat"
-                                                                   : "Partition";
+                         [](const auto& param) {
+                           return param.param == MachineKind::kFlat ? "Flat"
+                                                                    : "Partition";
                          });
+
+enum class PlanSource { kMachine, kCalendar };
+
+class PlanContractTest
+    : public ::testing::TestWithParam<std::tuple<MachineKind, PlanSource>> {};
+
+TEST_P(PlanContractTest, CommitsNeverMoveFindStartEarlierAndAnswersHoldBackToTheFloor) {
+  // Plan::find_start's two properties, after every commit of random commit
+  // sequences (hard and soft) over a random running set:
+  //   (a) a commit never makes find_start(job, e) earlier;
+  //   (b) find_start(job, e') == find_start(job, e) for every e' in
+  //       [e, find_start(job, e)] (sampled: both ends, the midpoint, the
+  //       point just before the answer and a random point).
+  // On the calendars, the checks before the first commit go through the
+  // find_start memo; later ones through the overlay scan.
+  const auto [kind, source] = GetParam();
+  Rng rng(kind == MachineKind::kFlat ? 41 : 43);
+  for (int trial = 0; trial < 8; ++trial) {
+    auto machine = make_machine(kind);
+    for (JobId r = 0; r < 5; ++r) (void)machine->start(random_job(500 + r, rng), 0);
+    const SimTime now = rng.uniform_int(0, 300);
+    std::unique_ptr<PlanProvider> provider;
+    std::unique_ptr<Plan> plan;
+    if (source == PlanSource::kMachine) {
+      plan = machine->make_plan(now);
+    } else {
+      provider = make_plan_provider(*machine, PlanMode::kCalendar);
+      plan = provider->plan(now);
+    }
+
+    std::vector<Job> probes;
+    for (JobId q = 0; q < 6; ++q) probes.push_back(random_job(900 + q, rng));
+    const std::vector<SimTime> floors = {now, now + 500, now + 4000};
+    std::vector<SimTime> last(probes.size() * floors.size(), now);
+
+    for (int step = 0; step <= 12; ++step) {
+      if (step > 0) {
+        const Job j = random_job(step, rng);
+        const SimTime start = plan->find_start(j, now + rng.uniform_int(0, 3000));
+        if (step % 3 == 0) plan->commit_soft(j, start);
+        else plan->commit(j, start);
+      }
+      for (std::size_t p = 0; p < probes.size(); ++p) {
+        for (std::size_t f = 0; f < floors.size(); ++f) {
+          const Job& probe = probes[p];
+          const SimTime e = floors[f];
+          const SimTime s = plan->find_start(probe, e);
+          ASSERT_GE(s, e);
+          EXPECT_GE(s, last[p * floors.size() + f])
+              << "(a) trial " << trial << " step " << step << " probe " << p;
+          last[p * floors.size() + f] = s;
+          const std::vector<SimTime> inside = {e, e + (s - e) / 2, std::max(e, s - 1), s,
+                                               rng.uniform_int(e, s)};
+          for (const SimTime e2 : inside) {
+            EXPECT_EQ(plan->find_start(probe, e2), s)
+                << "(b) trial " << trial << " step " << step << " probe " << p
+                << " e=" << e << " e'=" << e2;
+          }
+        }
+      }
+    }
+  }
+}
+
+std::string contract_name(
+    const ::testing::TestParamInfo<std::tuple<MachineKind, PlanSource>>& param) {
+  const auto [kind, source] = param.param;
+  return std::string(kind == MachineKind::kFlat ? "Flat" : "Partition") +
+         (source == PlanSource::kMachine ? "Plan" : "CalendarPlan");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Plans, PlanContractTest,
+    ::testing::Combine(::testing::Values(MachineKind::kFlat, MachineKind::kPartition),
+                       ::testing::Values(PlanSource::kMachine, PlanSource::kCalendar)),
+    contract_name);
 
 }  // namespace
 }  // namespace amjs

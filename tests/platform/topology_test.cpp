@@ -130,8 +130,8 @@ PartitionConfig three_rows() {
 INSTANTIATE_TEST_SUITE_P(Topologies, TopologyTest,
                          ::testing::Values(single_row(), two_rows(), four_rows(),
                                            intrepid(), three_rows()),
-                         [](const auto& info) {
-                           const auto& c = info.param;
+                         [](const auto& param) {
+                           const auto& c = param.param;
                            return "L" + std::to_string(c.leaf_nodes) + "x" +
                                   std::to_string(c.row_leaves) + "x" +
                                   std::to_string(c.rows);

@@ -60,7 +60,9 @@ TEST(WhatIfTuner, ConsultsTwinOnCadenceAndRecordsOverhead) {
   // Every consultation forks the full 2x2 candidate grid.
   EXPECT_EQ(stats.forks, stats.evaluations * 4u);
   EXPECT_GE(stats.twin_wall_ms, 0.0);
-  if (stats.forks > 0) EXPECT_GE(stats.wall_ms_per_fork(), 0.0);
+  if (stats.forks > 0) {
+    EXPECT_GE(stats.wall_ms_per_fork(), 0.0);
+  }
 
   // Histories are sampled at every metric check, not only consultations.
   EXPECT_EQ(tuner.bf_history().size(), result.queue_depth.size());
