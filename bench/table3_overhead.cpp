@@ -22,7 +22,8 @@
 //
 // Besides the google-benchmark suites, the binary runs one instrumented
 // pass per window size with the obs registry armed and writes the
-// per-iteration wall cost plus the sim.sched_pass percentile histogram to
+// per-iteration wall cost, the permutations and search-tree nodes the
+// window search spent, plus the sim.sched_pass percentile histogram to
 // --json (default BENCH_table3.json, empty disables).
 #include <benchmark/benchmark.h>
 
@@ -164,7 +165,7 @@ BENCHMARK(BM_WindowDecisionOnly)
 /// Instrumented pass: one congested run per window size with the obs
 /// registry armed, so the JSON carries not just the mean cost per
 /// iteration but the scheduler-pass percentile histogram and the
-/// permutation count behind it.
+/// permutation and search-node counts behind it.
 std::vector<BenchRecord> instrumented_records() {
   // Twice the google-benchmark trace: the committed JSON is the perf
   // baseline the CI gate compares against, so give the percentiles a
@@ -192,6 +193,8 @@ std::vector<BenchRecord> instrumented_records() {
     rec.add("pinned_passes", static_cast<double>(budget));
     rec.add("sched_calls", static_cast<double>(stats.schedule_calls));
     rec.add("permutations_tried", static_cast<double>(stats.permutations_tried));
+    rec.add("search_nodes",
+            static_cast<double>(registry.counter("core.search_nodes").value()));
     rec.add("wall_ms", wall_ms);
     rec.add("ms_per_iteration",
             stats.schedule_calls == 0

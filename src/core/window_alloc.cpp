@@ -29,6 +29,100 @@ struct Objective {
   }
 };
 
+/// Bit of window slot `i` in a used mask.
+constexpr std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << i; }
+
+/// The states one search has expanded, for the transposition cut. A
+/// state is the used mask plus every placed slot's (start, placement).
+/// The search keeps the current path's state here as it descends
+/// (place/unplace) and records it on entering a node (insert). A stored
+/// key holds the whole state, so a hash match alone never cuts. Keys sit
+/// densely in one array behind an open-addressing index kept at most half
+/// full. The table is local to one search and holds at most kMaxKeys keys;
+/// once full it stops inserting, which only gives up cuts.
+class SeenStates {
+ public:
+  SeenStates() = default;
+  explicit SeenStates(std::size_t window)
+      : window_(window), stride_(2 + window + (window + 1) / 2), path_(stride_, 0) {}
+
+  /// Put slot `i` on the path at (start, placement), or take it off.
+  void place(std::size_t i, SimTime start, int placement) {
+    toggle(i, static_cast<std::uint64_t>(start), static_cast<std::uint32_t>(placement));
+  }
+  void unplace(std::size_t i) {
+    toggle(i, path_[2 + i], (path_[2 + window_ + i / 2] >> shift(i)) & 0xffffffffU);
+  }
+
+  /// Record the path's state; false when an earlier node of this search had it.
+  bool insert() {
+    if (index_.empty()) {
+      index_.assign(2 * kMinKeys, 0);
+      keys_.reserve(kMinKeys * stride_);
+    }
+    const std::size_t mask = index_.size() - 1;
+    std::size_t slot = path_[0] & mask;
+    for (; index_[slot] != 0; slot = (slot + 1) & mask) {
+      // Word 0 is the hash, so most mismatches stop at the first word.
+      if (std::equal(path_.begin(), path_.end(), key(index_[slot] - 1))) return false;
+    }
+    if (count_ == kMaxKeys) return true;
+    keys_.insert(keys_.end(), path_.begin(), path_.end());
+    index_[slot] = static_cast<std::uint32_t>(++count_);
+    if (2 * count_ > index_.size()) rebuild_index(2 * index_.size());
+    return true;
+  }
+
+ private:
+  static constexpr std::size_t kMinKeys = 64;    // first allocation
+  static constexpr std::size_t kMaxKeys = 4096;  // W=8 keys: 460 KB
+
+  /// splitmix64's finalizer.
+  static std::uint64_t mix(std::uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+  }
+
+  static unsigned shift(std::size_t i) { return 32 * static_cast<unsigned>(i % 2); }
+
+  // Key words: [0] the hash, an XOR of one term per placed slot, so the
+  // order of placement does not matter; [1] the used mask; [2 + i] slot
+  // i's start; then the placements two to a word. Unplaced slots stay
+  // zero; equal masks place the same slots, so a zero never stands in for
+  // a placed value.
+  void toggle(std::size_t i, std::uint64_t start, std::uint64_t placement) {
+    path_[0] ^= mix(start * 0x9e3779b97f4a7c15ULL + (std::uint64_t{i} << 32 | placement));
+    path_[1] ^= bit(i);
+    path_[2 + i] ^= start;
+    path_[2 + window_ + i / 2] ^= placement << shift(i);
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t>::const_iterator key(std::size_t k) const {
+    return keys_.begin() + static_cast<std::ptrdiff_t>(k * stride_);
+  }
+
+  void rebuild_index(std::size_t size) {
+    index_.assign(size, 0);
+    const std::size_t mask = size - 1;
+    for (std::size_t k = 0; k < count_; ++k) {
+      std::size_t slot = *key(k) & mask;
+      while (index_[slot] != 0) slot = (slot + 1) & mask;
+      index_[slot] = static_cast<std::uint32_t>(k + 1);
+    }
+  }
+
+  std::size_t window_ = 0;
+  std::size_t stride_ = 0;             // words per key
+  std::vector<std::uint64_t> path_;    // the current path's key
+  std::vector<std::uint32_t> index_;   // 1 + key number, 0 = empty
+  std::vector<std::uint64_t> keys_;
+  std::size_t count_ = 0;              // keys stored
+};
+
 struct SearchState {
   const std::vector<const Job*>* window = nullptr;
   SimTime now = 0;
@@ -41,11 +135,10 @@ struct SearchState {
   /// starts[(d + 1) * W + i]: job i's earliest start at the tree node of
   /// depth d; row 0 holds `now` (the root's query floor).
   std::vector<SimTime> starts;
+  SeenStates seen;
   std::size_t permutations = 0;
+  std::size_t nodes = 0;
 };
-
-/// Bit of window slot `i` in a used mask.
-constexpr std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << i; }
 
 /// Greedily place `window` in priority order: the identity seed.
 Objective place_all(const Plan& base, const std::vector<const Job*>& window,
@@ -68,8 +161,8 @@ Objective place_all(const Plan& base, const std::vector<const Job*>& window,
 // narrower mask silently aliases slots past its width — slot 32 in a
 // uint32_t mask wraps onto slot 0 and the search revisits placed jobs.
 //
-// Three exact cuts (DESIGN.md D1), each resting on the Plan::find_start
-// contract:
+// Four exact cuts (DESIGN.md D1), each resting on the Plan contract
+// (platform/machine.hpp):
 //   * whole-node bound — every remaining job's start is known before
 //     recursing, and a commit never makes a start earlier, so
 //     (max end, start sum) over them bounds every completion of the node;
@@ -79,13 +172,22 @@ Objective place_all(const Plan& base, const std::vector<const Job*>& window,
 //   * same-shape symmetry — plans read only a job's nodes and walltime
 //     (plus its id as a memo key), so jobs of equal shape are placed in
 //     priority order only; the other orders repeat the same plan and
-//     objective, and the priority-ordered one is reached first.
+//     objective, and the priority-ordered one is reached first;
+//   * transpositions — a plan's answers depend only on the multiset of
+//     its hard commitments, so a node whose placed slots, starts and
+//     placements match a node this search already expanded has the same
+//     plan and objective so far; every leaf below it repeats a leaf the
+//     earlier node reached or cut against an incumbent no better than
+//     today's, and it is skipped on entry. Only states that another order
+//     can reach are keyed: there, the first job the two orders place
+//     differently starts where it could have started some levels up, so
+//     by (a) its predecessor on this path did not move its start.
 //
 // Plans with undo support (Plan::supports_undo) are explored by
 // commit + undo_last_commit on the one plan — no per-branch clone; plans
 // without it fall back to clone-per-branch. Both walks visit identical
 // states in identical order, so the chosen permutation cannot differ.
-void search(Plan& plan, Objective so_far, std::uint64_t used_mask,
+void search(Plan& plan, Objective so_far, std::uint64_t used_mask, bool may_repeat,
             SearchState& state) {
   const auto& window = *state.window;
   const std::size_t n = window.size();
@@ -98,6 +200,8 @@ void search(Plan& plan, Objective so_far, std::uint64_t used_mask,
     }
     return;
   }
+  if (may_repeat && !state.seen.insert()) return;
+  ++state.nodes;
   const SimTime* floors = &state.starts[depth * n];
   SimTime* starts = &state.starts[(depth + 1) * n];
   Objective bound = so_far;
@@ -124,16 +228,22 @@ void search(Plan& plan, Objective so_far, std::uint64_t used_mask,
     const Objective next{std::max(so_far.makespan, start + job->walltime),
                          so_far.start_sum + (start - state.now)};
     if (!next.beats(state.best_objective)) continue;
+    // Key the child only if some job on its path starts where it could
+    // have started before its predecessor was placed.
+    const bool child_may_repeat = may_repeat || (depth > 0 && floors[i] == start);
     state.current.push_back({job->id, start});
     if (plan.supports_undo()) {
       plan.commit(*job, start);
-      search(plan, next, used_mask | bit(i), state);
+      state.seen.place(i, start, plan.last_placement());
+      search(plan, next, used_mask | bit(i), child_may_repeat, state);
       plan.undo_last_commit();
     } else {
       auto child = plan.clone();
       child->commit(*job, start);
-      search(*child, next, used_mask | bit(i), state);
+      state.seen.place(i, start, child->last_placement());
+      search(*child, next, used_mask | bit(i), child_may_repeat, state);
     }
+    state.seen.unplace(i);
     state.current.pop_back();
   }
 }
@@ -195,18 +305,22 @@ WindowDecision WindowAllocator::decide(const Plan& plan,
       }
     }
     state.starts.assign((n + 1) * n, now);
+    state.seen = SeenStates(n);
     // One root clone; undo-capable plans mutate it in place down the tree.
     auto root = plan.clone();
-    search(*root, Objective{now, 0}, 0, state);
+    search(*root, Objective{now, 0}, 0, false, state);
   }
 
   decision.placements = std::move(state.best);
   decision.makespan = state.best_objective.makespan;
   decision.permutations_tried = state.permutations;
+  decision.nodes_expanded = state.nodes;
   if (obs::Registry::enabled()) {
     static obs::Counter& permutations =
         obs::Registry::global().counter("core.permutations");
+    static obs::Counter& nodes = obs::Registry::global().counter("core.search_nodes");
     permutations.add(state.permutations);
+    nodes.add(state.nodes);
   }
   return decision;
 }

@@ -10,10 +10,11 @@
 // can only extend the makespan and the start sum, and a commit never makes
 // another job's start earlier, so a node whose bound over all of its
 // remaining jobs already reaches the incumbent is pruned. Jobs of equal
-// shape (nodes, walltime) are permuted in priority order only. The
-// identity (priority-order) permutation is evaluated first, which both
-// seeds a good bound and makes ties resolve toward priority order —
-// preserving fairness when reordering buys nothing.
+// shape (nodes, walltime) are permuted in priority order only, and a state
+// (placed jobs, their starts and placements) that two orders reach is
+// expanded once. The identity (priority-order) permutation is evaluated
+// first, which both seeds a good bound and makes ties resolve toward
+// priority order — preserving fairness when reordering buys nothing.
 #pragma once
 
 #include <vector>
@@ -39,6 +40,12 @@ struct WindowDecision {
   /// Permutations fully evaluated (pruned prefixes excluded); exposed for
   /// the Table III overhead study.
   std::size_t permutations_tried = 0;
+
+  /// Search-tree nodes expanded: the root plus every inner node whose
+  /// remaining jobs' starts were queried. Leaves and nodes skipped as a
+  /// repeat of an expanded state do not count; 0 when the search is
+  /// skipped.
+  std::size_t nodes_expanded = 0;
 };
 
 class WindowAllocator {

@@ -41,8 +41,16 @@ FairnessResult FairStartEvaluator::evaluate(const JobTrace& trace,
   }
   if (probes.empty()) return result;
 
+  // The oracle's runs keep the fields that shape the schedule (check
+  // interval, failures, plan mode, stop_at) and drop the caller's per-run
+  // hooks and stop conditions, which belong to the run being judged.
   SimConfig fork_config = sim_config_;
   fork_config.record_events = false;  // no run here needs the LoC log
+  fork_config.snapshot_sink = nullptr;
+  fork_config.on_instant_end = nullptr;
+  fork_config.trace_sink = nullptr;
+  fork_config.stop_after_passes = 0;
+  fork_config.stop_once_started = kInvalidJob;
   const auto fork_machine = machine_factory_();
   const auto fork_scheduler = scheduler_factory_();
 

@@ -48,6 +48,8 @@ constexpr CatalogEntry kCatalog[] = {
      "cells served by this worker"},
     {"core.permutations", MetricKind::kCounter,
      "window permutations scored by WindowAllocator"},
+    {"core.search_nodes", MetricKind::kCounter,
+     "window search-tree nodes expanded by WindowAllocator"},
     {"core.window_decide", MetricKind::kTimer,
      "wall time of one WindowAllocator decision"},
     {"fleet.poll", MetricKind::kTimer,

@@ -62,9 +62,15 @@ class Plan {
   ///       it only removes capacity;
   ///   (b) for every e' in [e, find_start(job, e)], find_start(job, e')
   ///       returns the same value — nothing in [e, answer) is feasible.
+  /// A third holds because every implementation keeps its commitments as
+  /// a set (interval lists, a merged step profile):
+  ///   (c) a plan's answers — find_start, fits_at and the placement a
+  ///       later commit picks — depend only on the multiset of hard
+  ///       commitments added to it (each job's nodes and walltime, start
+  ///       and last_placement()), not on the order they were added in.
   /// The calendars' find_start memos rest on (b); the window search's
-  /// whole-node bound rests on (a), and its parent-start query floors on
-  /// (a) and (b) together.
+  /// whole-node bound rests on (a), its parent-start query floors on (a)
+  /// and (b) together, and its transposition cut on (c).
   [[nodiscard]] virtual SimTime find_start(const Job& job, SimTime earliest) const = 0;
 
   /// Could `job` run for its full walltime starting exactly at `t`?

@@ -55,13 +55,12 @@ TraceStats JobTrace::stats() const {
 }
 
 JobTrace JobTrace::truncated_at(SimTime cutoff) const {
-  JobTrace out;
-  for (const auto& j : jobs_) {
-    if (j.submit <= cutoff) out.jobs_.push_back(j);
-  }
-  // Ids stay dense because jobs_ is submit-ordered and we keep a prefix of
-  // all jobs with submit <= cutoff (ties included).
-  return out;
+  // jobs_ is submit-ordered, so the jobs with submit <= cutoff (ties
+  // included) are a prefix, and their dense ids carry over.
+  const auto end = std::upper_bound(
+      jobs_.begin(), jobs_.end(), cutoff,
+      [](SimTime t, const Job& j) { return t < j.submit; });
+  return prefix(static_cast<std::size_t>(end - jobs_.begin()));
 }
 
 JobTrace JobTrace::prefix(std::size_t n) const {

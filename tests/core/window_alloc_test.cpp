@@ -6,6 +6,7 @@
 
 #include "platform/flat.hpp"
 #include "platform/partition.hpp"
+#include "sched/calendar/calendar.hpp"
 #include "support/no_undo_plan.hpp"
 #include "util/rng.hpp"
 
@@ -306,6 +307,65 @@ TEST(WindowAllocTest, GreedyPlacementPastThirtyTwoSlots) {
     EXPECT_FALSE(seen[static_cast<std::size_t>(p.id)]) << "job " << p.id
         << " placed twice (mask aliasing)";
     seen[static_cast<std::size_t>(p.id)] = true;
+  }
+}
+
+TEST(WindowAllocTest, TranspositionsAreExpandedOnce) {
+  // Flat machine of 100 nodes; a running job holds 40 until t=100, so 60
+  // are free now. Window in priority order: D (100 nodes), A (40), B (30),
+  // C (20), every walltime 100 — four shapes, no twins. On [0, 100) A+C
+  // or B+C fit beside the running job, A+B do not, and D fits only from
+  // t=100 on.
+  //
+  // Identity: D@100, A@0, B@200, C@0 -> (makespan 300, start sum 300).
+  // No order does better (D and whichever of A/B misses [0, 100) take
+  // [100, 200) and [200, 300) in some order), so no leaf is reached and
+  // permutations_tried stays 1. Expanded nodes, a state written as its
+  // placed jobs with their starts:
+  //   root: D100 A0 B0 C0, bound (200, 100)
+  //   {D100}: bound (200, 100)
+  //     {D100 A0}, {D100 B0}: bound (300, 300), cut by the bound
+  //     {D100 C0}: bound (200, 100)
+  //       {D100 C0 A0}, {D100 C0 B0}: cut by the bound
+  //   {A0}: bound (200, 200)
+  //     + D100 -> {A0 D100} = {D100 A0}: transposition
+  //     {A0 B100}: cut by the bound
+  //     {A0 C0}: bound (200, 200)
+  //       + D100 -> {A0 C0 D100} = {D100 C0 A0}: transposition
+  //       {A0 C0 B100}: cut by the bound
+  //   {B0}: bound (200, 200)
+  //     + D100 -> {B0 D100} = {D100 B0}: transposition
+  //     {B0 A100}: cut by the bound (not keyed: B moved A's start)
+  //     {B0 C0}: bound (200, 200)
+  //       + D100 -> {B0 C0 D100} = {D100 C0 B0}: transposition
+  //       {B0 C0 A100}: cut by the bound (the jobs of {A0 C0 B100} at
+  //         other starts: a key without starts would skip it)
+  //   {C0}: bound (200, 100)
+  //     + D100, + A0, + B0 -> {D100 C0}, {A0 C0}, {B0 C0}: transpositions
+  // That is 16 expanded nodes. A search that expands transpositions again
+  // reaches 29 (the three subtrees under {C0} add 9, the four single
+  // transpositions above add 4); a key without starts reaches 15.
+  FlatMachine m(100);
+  ASSERT_TRUE(m.start(make_job(99, 40, 100), 0));
+  const Job d = make_job(0, 100, 100);
+  const Job a = make_job(1, 40, 100);
+  const Job b = make_job(2, 30, 100);
+  const Job c = make_job(3, 20, 100);
+  const std::vector<const Job*> window = {&d, &a, &b, &c};
+  const auto provider = make_plan_provider(m, PlanMode::kCalendar);
+  const WindowAllocator alloc(8);
+  for (const bool calendar : {false, true}) {
+    const auto plan = calendar ? provider->plan(0) : m.make_plan(0);
+    const auto decision = alloc.decide(*plan, window, 0);
+    EXPECT_EQ(decision.nodes_expanded, 16u) << "calendar " << calendar;
+    EXPECT_EQ(decision.permutations_tried, 1u) << "calendar " << calendar;
+    EXPECT_EQ(decision.makespan, 300) << "calendar " << calendar;
+    ASSERT_EQ(decision.placements.size(), 4u);
+    const std::vector<SimTime> identity = {100, 0, 200, 0};
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(decision.placements[i].id, static_cast<JobId>(i));
+      EXPECT_EQ(decision.placements[i].start, identity[i]);
+    }
   }
 }
 

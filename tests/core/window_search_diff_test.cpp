@@ -8,9 +8,14 @@
 // are decided on every plan implementation: the incremental calendar views,
 // the machines' from-scratch reference plans, and the clone-per-branch
 // fallback (NoUndoPlan). Shapes are drawn from small sets, so same-shape
-// jobs — the symmetry cut's target — are common.
+// jobs — the symmetry cut's target — are common. A second family builds
+// transposition-heavy windows: jobs of distinct shapes that all fit now
+// together beside one that does not, so many placement orders reach the
+// same (placed jobs, starts, placements) state — the transposition cut's
+// target.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -85,6 +90,34 @@ PlanUnderTest make_plan(const Machine& machine, PlanKind kind, SimTime now) {
   return out;
 }
 
+/// Decide `window` with the pruned and the reference search, each on its
+/// own plan of `kind` (so neither sees the other's memo entries), and
+/// require the same ids, starts, makespan and permutations_tried. Returns
+/// the reference's permutations_tried.
+std::size_t expect_matches_reference(const Machine& machine, PlanKind kind,
+                                     const std::vector<const Job*>& window,
+                                     SimTime now, int trial) {
+  const WindowAllocator alloc(8);
+  const PlanUnderTest expected_plan = make_plan(machine, kind, now);
+  const PlanUnderTest actual_plan = make_plan(machine, kind, now);
+  const WindowDecision expected =
+      test_support::reference_window_decide(*expected_plan.plan, window, now);
+  const WindowDecision actual = alloc.decide(*actual_plan.plan, window, now);
+
+  EXPECT_EQ(actual.makespan, expected.makespan) << "trial " << trial;
+  EXPECT_EQ(actual.permutations_tried, expected.permutations_tried)
+      << "trial " << trial;
+  EXPECT_EQ(actual.placements.size(), expected.placements.size()) << "trial " << trial;
+  for (std::size_t i = 0;
+       i < std::min(actual.placements.size(), expected.placements.size()); ++i) {
+    EXPECT_EQ(actual.placements[i].id, expected.placements[i].id)
+        << "trial " << trial << " slot " << i;
+    EXPECT_EQ(actual.placements[i].start, expected.placements[i].start)
+        << "trial " << trial << " slot " << i;
+  }
+  return expected.permutations_tried;
+}
+
 using Param = std::tuple<MachineKind, PlanKind, int>;
 
 class WindowSearchDiffTest : public ::testing::TestWithParam<Param> {};
@@ -94,7 +127,6 @@ TEST_P(WindowSearchDiffTest, PrunedSearchMatchesReference) {
   const Shapes shapes = shapes_for(machine_kind);
   Rng rng(static_cast<std::uint64_t>(1000 * w + 10 * static_cast<int>(machine_kind) +
                                      static_cast<int>(plan_kind)));
-  const WindowAllocator alloc(8);
   // Fewer trials at the widest windows, where the reference search is slow.
   const int trials = w <= 6 ? 40 : w == 7 ? 12 : 4;
   int improved = 0;
@@ -116,27 +148,60 @@ TEST_P(WindowSearchDiffTest, PrunedSearchMatchesReference) {
     std::vector<const Job*> window;
     for (const Job& j : jobs) window.push_back(&j);
 
-    // Separate plans, so neither search can see the other's memo entries.
-    const PlanUnderTest expected_plan = make_plan(*machine, plan_kind, now);
-    const PlanUnderTest actual_plan = make_plan(*machine, plan_kind, now);
-    const WindowDecision expected =
-        test_support::reference_window_decide(*expected_plan.plan, window, now);
-    const WindowDecision actual = alloc.decide(*actual_plan.plan, window, now);
-
-    EXPECT_EQ(actual.makespan, expected.makespan) << "trial " << trial;
-    EXPECT_EQ(actual.permutations_tried, expected.permutations_tried)
-        << "trial " << trial;
-    ASSERT_EQ(actual.placements.size(), expected.placements.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < actual.placements.size(); ++i) {
-      EXPECT_EQ(actual.placements[i].id, expected.placements[i].id)
-          << "trial " << trial << " slot " << i;
-      EXPECT_EQ(actual.placements[i].start, expected.placements[i].start)
-          << "trial " << trial << " slot " << i;
-    }
-    if (expected.permutations_tried > 1) ++improved;
+    if (expect_matches_reference(*machine, plan_kind, window, now, trial) > 1) ++improved;
   }
   // The cases must exercise the search, not only its skip rules: in some
   // of them (most, for W >= 4) reordering beats priority order.
+  EXPECT_GT(improved, 0) << "no window where reordering pays";
+}
+
+class WindowSearchTranspositionTest : public ::testing::TestWithParam<Param> {};
+
+TEST_P(WindowSearchTranspositionTest, TranspositionHeavyWindowsMatchReference) {
+  // W - 1 jobs of distinct shapes that fit now together, and one job (at a
+  // random priority position) that needs more than is free now. Placing
+  // the small jobs in any order gives each the same start and, on the
+  // partition machine, often the same partition, so most orders of a
+  // subset reach a state another order already expanded.
+  const auto [machine_kind, plan_kind, w] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(7000 + 100 * w + 10 * static_cast<int>(machine_kind) +
+                                     static_cast<int>(plan_kind)));
+  const bool flat = machine_kind == MachineKind::kFlat;
+  // Flat: 100 nodes with 40 held; the small jobs take 2..8 nodes, so all
+  // of them (at most 56) fit now together. Partition: 4096 nodes with one
+  // 2048-node row held; the small jobs take 512 or 1024 nodes, so up to
+  // four fit now together, and which partition each gets depends on the
+  // order. The big job needs more than is free now on either machine.
+  const std::vector<NodeCount> small_nodes =
+      flat ? std::vector<NodeCount>{2, 3, 4, 5, 6, 7, 8} : std::vector<NodeCount>{512, 1024};
+  const std::vector<Duration> walltimes = {100, 150, 200, 250, 300, 350, 400, 450};
+  const int trials = w <= 6 ? 30 : w == 7 ? 16 : 8;
+  int improved = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    auto machine = make_machine(machine_kind);
+    (void)machine->start(make_job(100, flat ? 40 : 2048, pick(walltimes, rng)), 0);
+    const SimTime now = rng.uniform_int(0, 50);
+
+    // Distinct (nodes, walltime) shapes: one walltime per small job.
+    std::vector<Duration> walls = walltimes;
+    for (std::size_t i = walls.size(); i > 1; --i) {
+      std::swap(walls[i - 1], walls[static_cast<std::size_t>(
+                                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    std::vector<Job> jobs;
+    const auto big_at = static_cast<JobId>(rng.uniform_int(0, w - 1));
+    for (JobId i = 0; i < w; ++i) {
+      if (i == big_at) {
+        jobs.push_back(make_job(i, flat ? rng.uniform_int(61, 100) : 4096,
+                                pick(walltimes, rng)));
+      } else {
+        jobs.push_back(make_job(i, pick(small_nodes, rng), walls[static_cast<std::size_t>(i)]));
+      }
+    }
+    std::vector<const Job*> window;
+    for (const Job& j : jobs) window.push_back(&j);
+    if (expect_matches_reference(*machine, plan_kind, window, now, trial) > 1) ++improved;
+  }
   EXPECT_GT(improved, 0) << "no window where reordering pays";
 }
 
@@ -155,6 +220,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(PlanKind::kCalendar, PlanKind::kReference,
                                          PlanKind::kNoUndo),
                        ::testing::Range(2, 9)),
+    param_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, WindowSearchTranspositionTest,
+    ::testing::Combine(::testing::Values(MachineKind::kFlat, MachineKind::kPartition),
+                       ::testing::Values(PlanKind::kCalendar, PlanKind::kReference,
+                                         PlanKind::kNoUndo),
+                       ::testing::Range(3, 9)),
     param_name);
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "core/balancer.hpp"
 #include "metrics/fairness.hpp"
+#include "obs/trace.hpp"
 #include "platform/flat.hpp"
 #include "platform/partition.hpp"
 #include "sched/dynp.hpp"
@@ -20,6 +21,7 @@
 #include "sched/lookahead.hpp"
 #include "sched/relaxed.hpp"
 #include "sim/simulator.hpp"
+#include "sim/snapshot.hpp"
 #include "support/fair_start_reference.hpp"
 #include "workload/synthetic.hpp"
 
@@ -168,6 +170,43 @@ TEST(FairStartForkTest, SuiteTraceExercisesTiesChecksAndFailures) {
   EXPECT_TRUE(at_check);
   EXPECT_GT(c.actual.failure_stats.failures, 0u);
   EXPECT_GT(c.reference.unfair_count(), 0u);
+}
+
+TEST(FairStartForkTest, CallerHooksAndStopsStayOutOfTheOraclesRuns) {
+  // The oracle's own runs (its full run and every probe fork) must not call
+  // the caller's per-run hooks or inherit its stop conditions: the hooks
+  // passed in are never called, and the fair starts equal those under the
+  // plain config. Partition machine, BF=0.5/W=1.
+  const JobTrace trace = fork_trace();
+  const MachineCase machine = machines().back();
+  const PolicyCase policy = policies()[2];
+  const SimConfig plain = sim_config(/*failures=*/false);
+  SimResult actual;
+  {
+    auto m = machine.make();
+    auto s = policy.make();
+    actual = Simulator(*m, *s, plain).run(trace);
+  }
+  const FairnessResult expected =
+      FairStartEvaluator(machine.make, policy.make, plain).evaluate(trace, actual);
+  ASSERT_GT(expected.unfair_count(), 0u);
+
+  std::size_t snapshots = 0;
+  std::size_t instants = 0;
+  obs::TraceRecorder recorder;
+  SimConfig hooked = plain;
+  hooked.snapshot_sink = [&snapshots](const SimSnapshot&) { ++snapshots; };
+  hooked.on_instant_end = [&instants](const SchedContext&) { ++instants; };
+  hooked.trace_sink = &recorder;
+  hooked.stop_after_passes = 50;
+  hooked.stop_once_started = 0;
+  const FairnessResult got =
+      FairStartEvaluator(machine.make, policy.make, hooked).evaluate(trace, actual);
+  EXPECT_EQ(snapshots, 0u);
+  EXPECT_EQ(instants, 0u);
+  EXPECT_EQ(recorder.size(), 0u);
+  EXPECT_EQ(got.fair_start, expected.fair_start);
+  EXPECT_EQ(got.unfair_jobs, expected.unfair_jobs);
 }
 
 Job make_job(SimTime submit, Duration runtime, NodeCount nodes) {

@@ -1,11 +1,14 @@
 // Property tests shared by both machine models: the planning abstraction
 // must agree with the live machine and never oversubscribe, and every Plan
-// implementation must keep the find_start contract (platform/machine.hpp).
+// implementation must keep the Plan contract (platform/machine.hpp): the
+// find_start properties (a) and (b), and order-independence (c).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "platform/flat.hpp"
@@ -250,6 +253,84 @@ TEST_P(PlanContractTest, CommitsNeverMoveFindStartEarlierAndAnswersHoldBackToThe
       }
     }
   }
+}
+
+TEST_P(PlanContractTest, AnswersDependOnlyOnTheMultisetOfHardCommits) {
+  // Property (c): commit one random set of jobs, each at find_start from
+  // its own floor, in two orders on two copies of one plan. When every job
+  // gets the same start and last_placement() in both orders, the two plans
+  // hold the same hard commitments and must answer every find_start and
+  // fits_at probe identically.
+  const auto [kind, source] = GetParam();
+  Rng rng(kind == MachineKind::kFlat ? 51 : 53);
+  const NodeCount total = make_machine(kind)->total_nodes();
+  int compared = 0;
+  const int trials = 200;
+  for (int trial = 0; trial < trials; ++trial) {
+    auto machine = make_machine(kind);
+    for (JobId r = 0; r < 4; ++r) (void)machine->start(random_job(500 + r, rng), 0);
+    const SimTime now = rng.uniform_int(0, 300);
+    std::unique_ptr<PlanProvider> provider;
+    std::unique_ptr<Plan> first;
+    if (source == PlanSource::kMachine) {
+      first = machine->make_plan(now);
+    } else {
+      provider = make_plan_provider(*machine, PlanMode::kCalendar);
+      first = provider->plan(now);
+    }
+    const std::unique_ptr<Plan> second = first->clone();
+
+    struct Commit {
+      Job job;
+      SimTime floor;
+    };
+    std::vector<Commit> commits;
+    const auto count = rng.uniform_int(2, 6);
+    for (JobId i = 0; i < count; ++i) {
+      Job j = random_job(i, rng);
+      j.nodes = rng.uniform_int(1, total / 4);
+      commits.push_back({j, now + rng.uniform_int(0, 4000)});
+    }
+    std::vector<std::size_t> order(commits.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = order.size() - 1 - i;
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<std::size_t>(
+                                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+    }
+
+    // (start, placement) of every job, committed in index order on `first`
+    // and in `order` on `second`.
+    std::vector<std::pair<SimTime, int>> in_first(commits.size());
+    std::vector<std::pair<SimTime, int>> in_second(commits.size());
+    for (std::size_t i = 0; i < commits.size(); ++i) {
+      const SimTime start = first->find_start(commits[i].job, commits[i].floor);
+      first->commit(commits[i].job, start);
+      in_first[i] = {start, first->last_placement()};
+    }
+    for (const std::size_t i : order) {
+      const SimTime start = second->find_start(commits[i].job, commits[i].floor);
+      second->commit(commits[i].job, start);
+      in_second[i] = {start, second->last_placement()};
+    }
+    if (in_first != in_second) continue;
+    ++compared;
+
+    for (JobId q = 0; q < 8; ++q) {
+      const Job probe = random_job(900 + q, rng);
+      for (const SimTime e : {now, now + rng.uniform_int(0, 3000), now + 6000}) {
+        const SimTime s = first->find_start(probe, e);
+        EXPECT_EQ(second->find_start(probe, e), s)
+            << "trial " << trial << " probe " << q << " e=" << e;
+        for (const SimTime t : {e, std::max(e, s - 1), s, s + rng.uniform_int(1, 2000)}) {
+          EXPECT_EQ(second->fits_at(probe, t), first->fits_at(probe, t))
+              << "trial " << trial << " probe " << q << " t=" << t;
+        }
+      }
+    }
+  }
+  // Orders often move a job to another partition, but enough sets must
+  // agree for the check to mean something (160 of 200 flat, 44 partition).
+  EXPECT_GE(compared, trials / 10) << "only " << compared << " sets agreed";
 }
 
 std::string contract_name(

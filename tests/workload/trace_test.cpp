@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace amjs {
 namespace {
 
@@ -92,6 +94,31 @@ TEST(JobTraceTest, TruncatedAtIncludesTies) {
   auto trace = JobTrace::from_jobs({make_job(0), make_job(100), make_job(100)});
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace.value().truncated_at(100).size(), 3u);
+}
+
+TEST(JobTraceTest, TruncatedAtMatchesTheSubmitFilter) {
+  // truncated_at(cutoff) is by definition every job with submit <= cutoff,
+  // in trace order. Cutoffs before the first submit, on a tie, between
+  // submits, on the last submit and after it.
+  auto built = JobTrace::from_jobs({make_job(10, 1), make_job(20, 2), make_job(20, 3),
+                                    make_job(20, 4), make_job(35, 5), make_job(50, 6)});
+  ASSERT_TRUE(built.ok());
+  const JobTrace& trace = built.value();
+  for (const SimTime cutoff : {SimTime{0}, SimTime{9}, SimTime{10}, SimTime{20},
+                               SimTime{21}, SimTime{34}, SimTime{50}, SimTime{1000}}) {
+    std::vector<Job> expected;
+    for (const Job& j : trace.jobs()) {
+      if (j.submit <= cutoff) expected.push_back(j);
+    }
+    const JobTrace cut = trace.truncated_at(cutoff);
+    ASSERT_EQ(cut.size(), expected.size()) << "cutoff " << cutoff;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(cut.jobs()[i].id, expected[i].id) << "cutoff " << cutoff;
+      EXPECT_EQ(cut.jobs()[i].submit, expected[i].submit) << "cutoff " << cutoff;
+      EXPECT_EQ(cut.jobs()[i].runtime, expected[i].runtime) << "cutoff " << cutoff;
+    }
+  }
+  EXPECT_TRUE(JobTrace().truncated_at(100).empty());
 }
 
 TEST(JobTraceTest, PrefixClampsToSize) {
