@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "obs/trace.hpp"
+#include "sched/backfill.hpp"
 #include "util/fmt.hpp"
 
 namespace amjs {
@@ -167,7 +168,6 @@ void MetricAwareScheduler::schedule(SchedContext& ctx) {
 
 void MetricAwareScheduler::schedule_easy(SchedContext& ctx,
                                          const std::vector<JobId>& ranked) {
-  const SimTime now = ctx.now();
   auto plan = ctx.plan();
 
   // Step 5 on the first window only: its placements (including future
@@ -182,21 +182,10 @@ void MetricAwareScheduler::schedule_easy(SchedContext& ctx,
   // Step 6: EASY-style backfill of the remaining queue in priority order —
   // start only where the plan (which carries the window's reservations)
   // has room right now.
-  for (std::size_t i = window_len; i < ranked.size(); ++i) {
-    const Job& j = ctx.job(ranked[i]);
-    if (!ctx.machine().can_start(j)) continue;
-    if (!plan->fits_at(j, now)) continue;
-    plan->commit(j, now);
-    const bool ok = ctx.start_job(ranked[i], plan->last_placement());
-    assert(ok && "plan admitted a backfill the machine refused");
-    if (!ok) continue;
-    ++stats_.jobs_started;
-    ++stats_.jobs_backfilled;
-    if (auto* tr = ctx.recorder()) {
-      tr->record(obs::TraceCategory::kBackfill, "backfill", now,
-                 {obs::arg("job", ranked[i])});
-    }
-  }
+  const std::size_t backfilled =
+      backfill(ctx, *plan, std::span(ranked).subspan(window_len));
+  stats_.jobs_started += backfilled;
+  stats_.jobs_backfilled += backfilled;
 }
 
 void MetricAwareScheduler::schedule_conservative(SchedContext& ctx,

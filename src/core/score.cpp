@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <numeric>
+#include <utility>
 
 namespace amjs {
 
@@ -53,17 +54,22 @@ std::vector<ScoredJob> score_jobs(const std::vector<QueuedJob>& queue,
 
 std::vector<ScoredJob> rank_jobs(const std::vector<QueuedJob>& queue,
                                  const ScoreParams& params) {
-  auto scored = score_jobs(queue, params);
-  // Tie-break key: (submit, id) — FCFS order among equal priorities.
-  std::map<JobId, std::pair<SimTime, JobId>> tiebreak;
-  for (const auto& q : queue) tiebreak[q.id] = {q.submit, q.id};
-  std::stable_sort(scored.begin(), scored.end(),
-                   [&](const ScoredJob& a, const ScoredJob& b) {
-                     if (a.s_priority != b.s_priority)
-                       return a.s_priority > b.s_priority;
-                     return tiebreak[a.id] < tiebreak[b.id];
-                   });
-  return scored;
+  const auto scored = score_jobs(queue, params);
+  // score_jobs keeps queue order, so scored[i] belongs to queue[i]: sort
+  // positions and read the (submit, id) tie-break — FCFS order among equal
+  // priorities — straight from the queue.
+  std::vector<std::size_t> order(scored.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (scored[a].s_priority != scored[b].s_priority)
+      return scored[a].s_priority > scored[b].s_priority;
+    return std::pair(queue[a].submit, queue[a].id) <
+           std::pair(queue[b].submit, queue[b].id);
+  });
+  std::vector<ScoredJob> ranked;
+  ranked.reserve(order.size());
+  for (const std::size_t i : order) ranked.push_back(scored[i]);
+  return ranked;
 }
 
 }  // namespace amjs

@@ -18,6 +18,10 @@ namespace {
 // Sorted by name (enforced by a test). Keep DESIGN.md "Metric catalog"
 // in sync — it is generated from this table's content.
 constexpr CatalogEntry kCatalog[] = {
+    {"calendar.tier_tables", MetricKind::kCounter,
+     "partition-calendar tier tables built (at most one per tier and epoch)"},
+    {"calendar.timeline_builds", MetricKind::kCounter,
+     "partition-calendar timelines rebuilt after start/finish deltas"},
     {"campaign.cells", MetricKind::kCounter,
      "cells enumerated for the campaign run"},
     {"campaign.dispatches", MetricKind::kCounter,
@@ -58,6 +62,10 @@ constexpr CatalogEntry kCatalog[] = {
      "stats polls that failed (dial, I/O, decode)"},
     {"fleet.polls", MetricKind::kCounter,
      "stats polls attempted across the fleet"},
+    {"sched.backfill_dominated", MetricKind::kCounter,
+     "backfill probes skipped because an earlier refusal in the pass decides them"},
+    {"sched.backfill_probes", MetricKind::kCounter,
+     "backfill probes that reached the machine or the plan"},
     {"sim.sched_pass", MetricKind::kTimer,
      "wall time of one scheduler pass"},
     {"sim.snapshot_capture", MetricKind::kTimer,

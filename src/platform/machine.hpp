@@ -68,9 +68,19 @@ class Plan {
   ///       later commit picks — depend only on the multiset of hard
   ///       commitments added to it (each job's nodes and walltime, start
   ///       and last_placement()), not on the order they were added in.
+  /// A fourth holds because a larger or longer job needs a superset of
+  /// what a smaller, shorter one needs:
+  ///   (d) within one plan, if fits_at(j, t) is false, so is fits_at(j', t)
+  ///       for every j' with occupancy(j') >= occupancy(j) and
+  ///       walltime(j') >= walltime(j). On a PartitionMachine this rests on
+  ///       every free partition containing a free partition of each
+  ///       smaller tier (aligned power-of-two groups in a row, whole rows
+  ///       across rows, the full machine).
   /// The calendars' find_start memos rest on (b); the window search's
   /// whole-node bound rests on (a), its parent-start query floors on (a)
-  /// and (b) together, and its transposition cut on (c).
+  /// and (b) together, and its transposition cut on (c). The backfill
+  /// probe filter (sched/backfill.hpp) rests on (a) and (d): a refusal
+  /// stays a refusal for every dominating job until the pass ends.
   [[nodiscard]] virtual SimTime find_start(const Job& job, SimTime earliest) const = 0;
 
   /// Could `job` run for its full walltime starting exactly at `t`?
@@ -135,7 +145,9 @@ class Machine {
   /// Nodes the job will actually occupy (partition rounding included).
   [[nodiscard]] virtual NodeCount occupancy(const Job& job) const = 0;
 
-  /// Could the job start right now?
+  /// Could the job start right now? Refusals are monotone in occupancy
+  /// alone: if the machine refuses j, it refuses every j' with
+  /// occupancy(j') >= occupancy(j) until an allocation is released.
   [[nodiscard]] virtual bool can_start(const Job& job) const = 0;
 
   /// Allocate and start the job now. Returns false (no state change) if it

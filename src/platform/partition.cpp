@@ -58,27 +58,30 @@ void PartitionMachine::build_partitions() {
   if (!have_full) add_partition(0, total_leaves);
 
   // Index partitions by size tier.
+  for (const auto& p : parts_) tiers_.push_back(p.size);
+  std::sort(tiers_.begin(), tiers_.end());
+  tiers_.erase(std::unique(tiers_.begin(), tiers_.end()), tiers_.end());
+  tier_parts_.resize(tiers_.size());
   for (int i = 0; i < static_cast<int>(parts_.size()); ++i) {
-    tier_index_[parts_[static_cast<std::size_t>(i)].size].push_back(i);
+    const auto it = std::lower_bound(tiers_.begin(), tiers_.end(),
+                                     parts_[static_cast<std::size_t>(i)].size);
+    tier_parts_[static_cast<std::size_t>(it - tiers_.begin())].push_back(i);
   }
-  for (const auto& entry : tier_index_) tiers_.push_back(entry.first);
 }
 
 bool PartitionMachine::fits(const Job& job) const {
   return job.nodes <= total_nodes();
 }
 
-NodeCount PartitionMachine::occupancy(const Job& job) const {
+std::size_t PartitionMachine::tier_of(const Job& job) const {
   assert(fits(job));
   const auto it = std::lower_bound(tiers_.begin(), tiers_.end(), job.nodes);
   assert(it != tiers_.end());
-  return *it;
+  return static_cast<std::size_t>(it - tiers_.begin());
 }
 
-const std::vector<int>& PartitionMachine::tier_partitions(const Job& job) const {
-  const auto it = tier_index_.find(occupancy(job));
-  assert(it != tier_index_.end());
-  return it->second;
+NodeCount PartitionMachine::occupancy(const Job& job) const {
+  return tiers_[tier_of(job)];
 }
 
 int PartitionMachine::pick_partition(const Job& job) const {
@@ -108,7 +111,13 @@ int PartitionMachine::pick_partition(const Job& job) const {
 }
 
 bool PartitionMachine::can_start(const Job& job) const {
-  return pick_partition(job) >= 0;
+  // A yes/no answer needs only the first free partition of the tier; the
+  // buddy scoring that ranks the free ones is start()'s business.
+  if (!fits(job)) return false;
+  const auto& candidates = tier_partitions(job);
+  return std::any_of(candidates.begin(), candidates.end(), [&](int idx) {
+    return !(part_masks_[static_cast<std::size_t>(idx)] & busy_mask_).any();
+  });
 }
 
 bool PartitionMachine::start(const Job& job, SimTime now, int placement) {

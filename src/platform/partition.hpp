@@ -77,8 +77,18 @@ class PartitionMachine final : public Machine {
   void restore_state(const MachineState& state) override;
   void reset() override;
 
+  /// Position in tiers() of the job's occupancy tier.
+  [[nodiscard]] std::size_t tier_of(const Job& job) const;
+
+  /// Indices into partitions() of size tiers()[tier], ascending.
+  [[nodiscard]] const std::vector<int>& tier_partitions(std::size_t tier) const {
+    return tier_parts_[tier];
+  }
+
   /// Indices into partitions() whose size equals the job's tier.
-  [[nodiscard]] const std::vector<int>& tier_partitions(const Job& job) const;
+  [[nodiscard]] const std::vector<int>& tier_partitions(const Job& job) const {
+    return tier_partitions(tier_of(job));
+  }
 
   /// Leaf mask of partition `idx` (index into partitions()).
   [[nodiscard]] const LeafMask& partition_mask(int idx) const {
@@ -100,7 +110,8 @@ class PartitionMachine final : public Machine {
 
   /// Best free partition of the job's tier, or -1. "Best" prefers the
   /// partition whose buddy (the sibling inside the enclosing partition) is
-  /// already busy, so large free blocks are preserved.
+  /// already busy, so large free blocks are preserved. Only start() needs
+  /// the ranking; can_start() stops at the first free partition.
   [[nodiscard]] int pick_partition(const Job& job) const;
 
   void build_partitions();
@@ -108,8 +119,8 @@ class PartitionMachine final : public Machine {
   PartitionConfig config_;
   std::vector<PartitionDef> parts_;
   std::vector<NodeCount> tiers_;
-  /// tier size -> indices of partitions with that size.
-  std::map<NodeCount, std::vector<int>> tier_index_;
+  /// tier_parts_[t]: indices of partitions of size tiers_[t], ascending.
+  std::vector<std::vector<int>> tier_parts_;
   std::vector<LeafMask> part_masks_;
   LeafMask busy_mask_;
   NodeCount busy_nodes_ = 0;

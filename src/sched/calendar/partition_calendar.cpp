@@ -3,23 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-namespace amjs {
+#include "obs/registry.hpp"
 
-PartitionCalendar::PartitionCalendar(const PartitionMachine& machine)
-    : machine_(&machine) {
-  // Per-tier partition lists in ascending partition-index order — the
-  // same lists tier_partitions() serves, reachable by tier index instead
-  // of a per-query occupancy + map lookup.
-  const auto& tiers = machine.tiers();
-  const auto& parts = machine.partitions();
-  tier_parts_.resize(tiers.size());
-  for (int i = 0; i < static_cast<int>(parts.size()); ++i) {
-    const auto it = std::lower_bound(tiers.begin(), tiers.end(),
-                                     parts[static_cast<std::size_t>(i)].size);
-    assert(it != tiers.end() && *it == parts[static_cast<std::size_t>(i)].size);
-    tier_parts_[static_cast<std::size_t>(it - tiers.begin())].push_back(i);
-  }
-}
+namespace amjs {
 
 void PartitionCalendar::resync() {
   synced_ = false;
@@ -38,6 +24,8 @@ void PartitionCalendar::rebuild(SimTime now) {
                             live.alloc.occupied});
     }
   }
+  std::stable_sort(holds_.begin(), holds_.end(),
+                   [](const Hold& a, const Hold& b) { return a.end < b.end; });
   pending_.clear();
   synced_ = true;
   ++epoch_;
@@ -61,58 +49,60 @@ NodeCount PartitionCalendar::Timeline::occupied_after(SimTime t) const {
   return i < ends.size() ? occupied_from[i] : 0;
 }
 
-std::size_t PartitionCalendar::Timeline::first_free_after(std::size_t tier,
-                                                          SimTime t) const {
-  const std::size_t i = index_after(t);
-  return i < ends.size() ? first_free_pos[tier][i] : 0;
-}
-
 void PartitionCalendar::build_timeline() {
+  // holds_ is kept in end order, so the timeline is one back-to-front
+  // suffix pass writing one entry per distinct end time into storage the
+  // previous epoch already sized. Tier tables wait for their first query.
   Timeline& tl = timeline_;
-  tl.ends.clear();
-  tl.busy_from.clear();
-  tl.occupied_from.clear();
-  tl.first_free_pos.assign(tier_parts_.size(), {});
-  if (holds_.empty()) return;
-
-  std::vector<const Hold*> by_end(holds_.size());
-  for (std::size_t i = 0; i < holds_.size(); ++i) by_end[i] = &holds_[i];
-  std::sort(by_end.begin(), by_end.end(),
-            [](const Hold* a, const Hold* b) { return a->end < b->end; });
-
-  // Back-to-front suffix aggregation; one entry per distinct end time.
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < holds_.size(); ++i) {
+    if (i == 0 || holds_[i - 1].end != holds_[i].end) ++distinct;
+  }
+  tl.ends.resize(distinct);
+  tl.busy_from.resize(distinct);
+  tl.occupied_from.resize(distinct);
   PartitionMachine::LeafMask busy;
   NodeCount occ = 0;
-  for (std::size_t i = by_end.size(); i-- > 0;) {
-    busy |= by_end[i]->mask;
-    occ += by_end[i]->occupied;
-    if (i == 0 || by_end[i - 1]->end != by_end[i]->end) {
-      tl.ends.push_back(by_end[i]->end);
-      tl.busy_from.push_back(busy);
-      tl.occupied_from.push_back(occ);
+  std::size_t at = distinct;
+  for (std::size_t i = holds_.size(); i-- > 0;) {
+    busy |= holds_[i].mask;
+    occ += holds_[i].occupied;
+    if (i == 0 || holds_[i - 1].end != holds_[i].end) {
+      --at;
+      tl.ends[at] = holds_[i].end;
+      tl.busy_from[at] = busy;
+      tl.occupied_from[at] = occ;
     }
   }
-  std::reverse(tl.ends.begin(), tl.ends.end());
-  std::reverse(tl.busy_from.begin(), tl.busy_from.end());
-  std::reverse(tl.occupied_from.begin(), tl.occupied_from.end());
+  tl.first_free_pos.resize(machine_->tiers().size());
+  for (auto& ff : tl.first_free_pos) ff.clear();
+  if (obs::Registry::enabled()) {
+    static obs::Counter& builds =
+        obs::Registry::global().counter("calendar.timeline_builds");
+    builds.add();
+  }
+}
 
-  // First base-conflict-free position per (tier, timeline index). Walking
-  // i downward only grows the busy mask, so the position is monotone and
-  // the whole table costs O(ends + tier size) per tier.
-  for (std::size_t ti = 0; ti < tier_parts_.size(); ++ti) {
-    const auto& list = tier_parts_[ti];
-    auto& ff = tl.first_free_pos[ti];
-    ff.assign(tl.ends.size(), 0);
-    std::size_t pos = 0;
-    for (std::size_t i = tl.ends.size(); i-- > 0;) {
-      while (pos < list.size() &&
-             (tl.busy_from[i] &
-              machine_->partition_mask(list[pos]))
-                 .any()) {
-        ++pos;
-      }
-      ff[i] = pos;
+void PartitionCalendar::build_tier_table(std::size_t tier) {
+  // First base-conflict-free position per timeline index. Walking i
+  // downward only grows the busy mask, so the position is monotone and the
+  // table costs O(ends + tier size).
+  Timeline& tl = timeline_;
+  const auto& list = machine_->tier_partitions(tier);
+  auto& ff = tl.first_free_pos[tier];
+  ff.resize(tl.ends.size());
+  std::size_t pos = 0;
+  for (std::size_t i = tl.ends.size(); i-- > 0;) {
+    while (pos < list.size() &&
+           (tl.busy_from[i] & machine_->partition_mask(list[pos])).any()) {
+      ++pos;
     }
+    ff[i] = pos;
+  }
+  if (obs::Registry::enabled()) {
+    static obs::Counter& tables =
+        obs::Registry::global().counter("calendar.tier_tables");
+    tables.add();
   }
 }
 
@@ -122,6 +112,14 @@ const PartitionCalendar::Timeline& PartitionCalendar::timeline() {
     timeline_dirty_ = false;
   }
   return timeline_;
+}
+
+std::size_t PartitionCalendar::first_free_after(std::size_t tier, SimTime t) {
+  const Timeline& tl = timeline();
+  const std::size_t i = tl.index_after(t);
+  if (i >= tl.ends.size()) return 0;
+  if (tl.first_free_pos[tier].empty()) build_tier_table(tier);
+  return tl.first_free_pos[tier][i];
 }
 
 void PartitionCalendar::on_job_start(const Job& job, SimTime now) {
@@ -150,7 +148,10 @@ void PartitionCalendar::apply_pending() {
   for (const Delta& d : pending_) {
     if (d.kind == Delta::Kind::kStart) {
       if (d.end > d.at) {
-        holds_.push_back(Hold{d.job, d.at, d.end, d.mask, d.occupied});
+        const auto at = std::upper_bound(
+            holds_.begin(), holds_.end(), d.end,
+            [](SimTime end, const Hold& h) { return end < h.end; });
+        holds_.insert(at, Hold{d.job, d.at, d.end, d.mask, d.occupied});
       }
     } else {
       // Finished jobs vanish from the future outright — exactly as a
@@ -167,10 +168,14 @@ void PartitionCalendar::apply_pending() {
 void PartitionCalendar::compact(SimTime now) {
   // Fully elapsed holds (end <= now) are invisible to every query at
   // t >= now; dropping them keeps the hold set proportional to the
-  // running-job count instead of the simulation's history.
-  const std::size_t before = holds_.size();
-  std::erase_if(holds_, [&](const Hold& h) { return h.end <= now; });
-  if (holds_.size() != before) timeline_dirty_ = true;
+  // running-job count instead of the simulation's history. In end order
+  // they are a prefix.
+  const auto live = std::upper_bound(
+      holds_.begin(), holds_.end(), now,
+      [](SimTime t, const Hold& h) { return t < h.end; });
+  if (live == holds_.begin()) return;
+  holds_.erase(holds_.begin(), live);
+  timeline_dirty_ = true;
 }
 
 std::unique_ptr<Plan> PartitionCalendar::plan(SimTime now) {
@@ -196,12 +201,8 @@ std::unique_ptr<Plan> PartitionCalendarPlan::clone() const {
 
 PartitionCalendarPlan::TierRef PartitionCalendarPlan::tier_ref(
     const Job& job) const {
-  const auto& tiers = base_->machine_->tiers();
-  const auto it =
-      std::lower_bound(tiers.begin(), tiers.end(), base_->machine_->occupancy(job));
-  assert(it != tiers.end());
-  const auto tier = static_cast<std::size_t>(it - tiers.begin());
-  return {tier, &base_->tier_parts_[tier]};
+  const std::size_t tier = base_->machine_->tier_of(job);
+  return {tier, &base_->machine_->tier_partitions(tier)};
 }
 
 int PartitionCalendarPlan::free_partition_during(const Job& job,
@@ -217,10 +218,10 @@ int PartitionCalendarPlan::free_partition_in(const TierRef& tr, SimTime t,
   // Base holds all start at or before the plan origin <= t, so a base hold
   // overlaps [t, end) iff its end exceeds t — the busy set is a suffix of
   // the end-sorted timeline, and the first tier position clear of it is
-  // precomputed per epoch. A partition conflicts with *some* overlapping
-  // hold iff it intersects the union of their masks, so positions before
-  // the precomputed one stay in conflict under any overlay.
-  std::size_t pos = tl.first_free_after(tr.tier, t);
+  // tabled once per epoch and tier. A partition conflicts with *some*
+  // overlapping hold iff it intersects the union of their masks, so
+  // positions before the tabled one stay in conflict under any overlay.
+  std::size_t pos = base_->first_free_after(tr.tier, t);
   if (pos >= parts.size()) return -1;
   if (pinned_ovl_.empty()) return parts[pos];
   PartitionMachine::LeafMask ovl;

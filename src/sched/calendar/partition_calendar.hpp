@@ -15,13 +15,16 @@ class PartitionCalendarPlan;
 
 class PartitionCalendar final : public PlanProvider {
  public:
-  explicit PartitionCalendar(const PartitionMachine& machine);
+  explicit PartitionCalendar(const PartitionMachine& machine) : machine_(&machine) {}
 
   [[nodiscard]] std::unique_ptr<Plan> plan(SimTime now) override;
   void on_job_start(const Job& job, SimTime now) override;
   void on_job_finish(JobId job, SimTime now) override;
   void resync() override;
   [[nodiscard]] std::uint64_t epoch() const override { return epoch_; }
+
+ private:
+  friend class PartitionCalendarPlan;
 
   /// One running job's hold: a concrete partition (contiguity) plus its
   /// node occupancy (capacity), both over [start, end).
@@ -33,14 +36,11 @@ class PartitionCalendar final : public PlanProvider {
     NodeCount occupied;
   };
 
-  /// The base holds (tests only; views read them through the plan).
-  [[nodiscard]] const std::vector<Hold>& holds() const { return holds_; }
-
   /// Per-epoch derived timeline over the base holds. Every base hold
   /// starts at or before the plan origin, so for any query time t >= origin
   /// the holds overlapping [t, anything) are exactly the holds whose end
   /// exceeds t — a suffix of the end-sorted hold list. Both aggregates a
-  /// query needs over that suffix are precomputed once per epoch:
+  /// query needs over that suffix are computed once per epoch:
   ///   * busy_from[i]  = OR of masks of holds with end >= ends[i]
   ///     (the leaf set any partition must avoid for a start in
   ///     [ends[i-1], ends[i]));
@@ -59,19 +59,15 @@ class PartitionCalendar final : public PlanProvider {
     /// [ends[i-1], ends[i]); the tier's list size when every partition
     /// conflicts. Every earlier position conflicts with a base hold
     /// regardless of any overlay, so per-query scans may start here.
+    /// A tier's table is built when a query first reaches that tier in an
+    /// epoch (empty until then); a pass touches only the tiers it asks
+    /// about.
     std::vector<std::vector<std::size_t>> first_free_pos;
 
     [[nodiscard]] std::size_t index_after(SimTime t) const;
     [[nodiscard]] PartitionMachine::LeafMask busy_after(SimTime t) const;
     [[nodiscard]] NodeCount occupied_after(SimTime t) const;
-    [[nodiscard]] std::size_t first_free_after(std::size_t tier, SimTime t) const;
   };
-
-  /// The timeline for the current hold set (rebuilt lazily after deltas).
-  [[nodiscard]] const Timeline& timeline();
-
- private:
-  friend class PartitionCalendarPlan;
 
   struct Delta {
     enum class Kind : std::uint8_t { kStart, kFinish } kind;
@@ -84,20 +80,27 @@ class PartitionCalendar final : public PlanProvider {
     NodeCount occupied = 0;
   };
 
+  /// The timeline for the current hold set (rebuilt lazily after deltas).
+  [[nodiscard]] const Timeline& timeline();
+  /// first_free_pos[tier] at the position for a start at t, building the
+  /// tier's table first if this epoch has not needed it yet.
+  [[nodiscard]] std::size_t first_free_after(std::size_t tier, SimTime t);
+
   void apply_pending();
   void compact(SimTime now);
   void rebuild(SimTime now);
   void build_timeline();
+  void build_tier_table(std::size_t tier);
 
   const PartitionMachine* machine_;
   bool synced_ = false;
+  /// Base holds in ascending end order (ties in insertion order): deltas
+  /// insert at the upper bound of their end and erase in place, so the
+  /// timeline is one suffix pass and compaction drops a prefix.
   std::vector<Hold> holds_;
   std::vector<Delta> pending_;
   Timeline timeline_;
   bool timeline_dirty_ = true;
-  /// Per-tier partition index lists, mirroring tier_partitions() (the
-  /// machine's topology is immutable; built once in the constructor).
-  std::vector<std::vector<int>> tier_parts_;
   /// Bumps when the hold set semantically changes (memo invalidation).
   std::uint64_t epoch_ = 0;
   /// Bumps on any structural change incl. compaction (view invalidation).

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "obs/trace.hpp"
+#include "sched/backfill.hpp"
 #include "util/fmt.hpp"
 
 namespace amjs {
@@ -46,19 +47,7 @@ void EasyBackfillScheduler::schedule(SchedContext& ctx) {
   // they can run *now* without disturbing the head reservation. The plan
   // chooses the placement and the live start is pinned to it, so the
   // reservation can never be physically violated.
-  for (std::size_t i = head + 1; i < ids.size(); ++i) {
-    const Job& j = ctx.job(ids[i]);
-    if (!ctx.machine().can_start(j)) continue;
-    if (!plan->fits_at(j, now)) continue;
-    plan->commit(j, now);
-    const bool ok = ctx.start_job(ids[i], plan->last_placement());
-    assert(ok && "plan admitted a backfill the machine refused");
-    (void)ok;
-    if (auto* tr = ctx.recorder()) {
-      tr->record(obs::TraceCategory::kBackfill, "backfill", now,
-                 {obs::arg("job", ids[i])});
-    }
-  }
+  backfill(ctx, *plan, std::span(ids).subspan(head + 1));
 }
 
 }  // namespace amjs

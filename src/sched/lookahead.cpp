@@ -4,6 +4,7 @@
 #include <cassert>
 #include <vector>
 
+#include "sched/backfill.hpp"
 #include "util/fmt.hpp"
 
 namespace amjs {
@@ -47,11 +48,11 @@ void LookaheadBackfillScheduler::schedule(SchedContext& ctx) {
     std::size_t rank;  // position in priority order (lower = higher prio)
   };
   std::vector<Candidate> candidates;
+  ProbeFilter filter(ctx.machine(), *plan, now);
   for (std::size_t i = head + 1;
        i < ids.size() && candidates.size() < config_.max_candidates; ++i) {
     const Job& j = ctx.job(ids[i]);
-    if (!ctx.machine().can_start(j)) continue;
-    if (!plan->fits_at(j, now)) continue;
+    if (!filter.admits(j)) continue;
     candidates.push_back({ids[i], ctx.machine().occupancy(j), i});
   }
   if (candidates.empty()) return;
@@ -96,13 +97,7 @@ void LookaheadBackfillScheduler::schedule(SchedContext& ctx) {
   // Phase 5: start the chosen set, re-validating each against the plan
   // (discretization or partition shape can make a knapsack-feasible set
   // jointly infeasible; the re-check degrades gracefully to a subset).
-  for (const JobId id : chosen) {
-    const Job& j = ctx.job(id);
-    if (!ctx.machine().can_start(j)) continue;
-    if (!plan->fits_at(j, now)) continue;
-    plan->commit(j, now);
-    (void)ctx.start_job(id, plan->last_placement());
-  }
+  backfill(ctx, *plan, chosen);
 }
 
 }  // namespace amjs

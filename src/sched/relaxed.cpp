@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "sched/backfill.hpp"
 #include "util/fmt.hpp"
 
 namespace amjs {
@@ -46,13 +47,7 @@ void RelaxedBackfillScheduler::schedule(SchedContext& ctx) {
   plan->commit(blocked, relaxed);
 
   // Phase 3: backfill against the relaxed reservation.
-  for (std::size_t i = head + 1; i < ids.size(); ++i) {
-    const Job& j = ctx.job(ids[i]);
-    if (!ctx.machine().can_start(j)) continue;
-    if (!plan->fits_at(j, now)) continue;
-    plan->commit(j, now);
-    (void)ctx.start_job(ids[i], plan->last_placement());
-  }
+  backfill(ctx, *plan, std::span(ids).subspan(head + 1));
 }
 
 }  // namespace amjs

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "sched/backfill.hpp"
+
 namespace amjs {
 
 UtilityScheduler::UtilityScheduler(UtilityFn utility, std::string name)
@@ -69,13 +71,7 @@ void UtilityScheduler::schedule(SchedContext& ctx) {
   const Job& blocked = ctx.job(ids[head]);
   plan->commit(blocked, plan->find_start(blocked, now));
 
-  for (std::size_t i = head + 1; i < ids.size(); ++i) {
-    const Job& j = ctx.job(ids[i]);
-    if (!ctx.machine().can_start(j)) continue;
-    if (!plan->fits_at(j, now)) continue;
-    plan->commit(j, now);
-    (void)ctx.start_job(ids[i], plan->last_placement());
-  }
+  backfill(ctx, *plan, std::span(ids).subspan(head + 1));
 }
 
 }  // namespace amjs

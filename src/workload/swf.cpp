@@ -5,6 +5,7 @@
 #include "util/fmt.hpp"
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -14,6 +15,13 @@ namespace amjs {
 namespace {
 
 constexpr std::size_t kSwfFieldCount = 18;
+
+/// `v` truncated toward zero, or nullopt when it is NaN or outside int64's
+/// range (casting such a double is undefined behaviour).
+std::optional<std::int64_t> truncate_to_i64(double v) {
+  if (!(v >= -0x1p63 && v < 0x1p63)) return std::nullopt;
+  return static_cast<std::int64_t>(v);
+}
 
 struct RawFields {
   std::int64_t job_number;
@@ -48,7 +56,13 @@ Result<RawFields> parse_line(std::string_view line, int lineno) {
     return Error{amjs::format("field 4 is not numeric: '{}'", std::string(fields[3])),
                  amjs::format("line {}", lineno)};
   }
-  raw.runtime = static_cast<std::int64_t>(*runtime_f);
+  const auto runtime = truncate_to_i64(*runtime_f);
+  if (!runtime) {
+    return Error{amjs::format("field 4 is not a finite 64-bit second count: '{}'",
+                              std::string(fields[3])),
+                 amjs::format("line {}", lineno)};
+  }
+  raw.runtime = *runtime;
 
   struct FieldMap {
     std::size_t index;
@@ -102,8 +116,15 @@ Result<JobTrace> read_swf(std::istream& in, const SwfReadOptions& options) {
 
     std::int64_t walltime = r.requested_time;
     if (walltime <= 0) {
-      walltime = static_cast<std::int64_t>(
+      const auto fallback = truncate_to_i64(
           std::ceil(options.fallback_walltime_factor * static_cast<double>(runtime)));
+      if (!fallback) {
+        return Error{amjs::format("field 4 runtime {} gives a fallback walltime "
+                                  "outside 64-bit seconds",
+                                  runtime),
+                     amjs::format("line {}", lineno)};
+      }
+      walltime = *fallback;
     }
     // A runnable record needs a positive limit even if it ran for 0s.
     walltime = std::max<std::int64_t>({walltime, runtime, 1});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/balancer.hpp"
+#include "obs/registry.hpp"
 #include "platform/flat.hpp"
 #include "sched/easy.hpp"
 #include "sim/simulator.hpp"
@@ -159,6 +160,56 @@ TEST(MetricAwareTest, BackfillRespectsWindowReservations) {
   const auto result = sim.run(trace);
   EXPECT_EQ(result.schedule[1].start, 1000);
   EXPECT_GE(result.schedule[2].start, 1000);
+}
+
+TEST(MetricAwareTest, BackfillSkipsProbesAnEarlierRefusalDecides) {
+  // One step-6 pass, BF=1/W=1 on 100 flat nodes. J0 (60 nodes) runs on
+  // [0, 1000). At t=10 J1..J10 arrive together and rank in id order; J1
+  // (70 nodes) is the window and is pinned at 1000 on [1000, 2000), so the
+  // plan leaves 40 nodes before 1000 and 30 from 1000 to 2000. Step 6:
+  //   J2  (45, 100)  machine refuses (40 idle)           probe 1, min 45
+  //   J3  (50, 50)   50 >= 45                            skipped 1
+  //   J4  (35, 2000) plan refuses (70 + 35 > 100 at 1000) probe 2
+  //   J5  (38, 3000) 38 >= 35 and 3000 >= 2000           skipped 2
+  //   J6  (36, 500)  shorter than J4: fits, starts       probe 3, 4 idle
+  //   J7  (10, 100)  machine refuses                     probe 4, min 10
+  //   J8  (20, 50)   20 >= 10                            skipped 3
+  //   J9  (5, 100)   machine refuses                     probe 5, min 5
+  //   J10 (2, 100)   fits, starts                        probe 6
+  // Six probes reach the machine or the plan and three are skipped; the
+  // loop without the filter would make nine.
+  const auto trace = trace_of({
+      make_job(0, 1000, 60),  make_job(10, 1000, 70), make_job(10, 100, 45),
+      make_job(10, 50, 50),   make_job(10, 2000, 35), make_job(10, 3000, 38),
+      make_job(10, 500, 36),  make_job(10, 100, 10),  make_job(10, 50, 20),
+      make_job(10, 100, 5),   make_job(10, 100, 2),
+  });
+  const bool was_enabled = obs::Registry::enabled();
+  obs::Registry::set_enabled(true);
+  obs::Registry::global().reset_values();
+  std::uint64_t probes = 0;
+  std::uint64_t dominated = 0;
+  SimConfig config;
+  config.on_instant_end = [&](const SchedContext& ctx) {
+    if (ctx.now() != 10) return;
+    probes = obs::Registry::global().counter("sched.backfill_probes").value();
+    dominated = obs::Registry::global().counter("sched.backfill_dominated").value();
+  };
+  FlatMachine m(100);
+  MetricAwareScheduler s(config_of(1.0, 1));
+  Simulator sim(m, s, config);
+  const auto result = sim.run(trace);
+  obs::Registry::global().reset_values();
+  obs::Registry::set_enabled(was_enabled);
+
+  EXPECT_EQ(probes, 6u);
+  EXPECT_EQ(dominated, 3u);
+  EXPECT_EQ(result.schedule[1].start, 1000);
+  EXPECT_EQ(result.schedule[6].start, 10);
+  EXPECT_EQ(result.schedule[10].start, 10);
+  for (const JobId id : {2, 3, 4, 5, 7, 8, 9}) {
+    EXPECT_GT(result.schedule[static_cast<std::size_t>(id)].start, 10) << "job " << id;
+  }
 }
 
 class WindowPastSearchCapTest : public ::testing::TestWithParam<BackfillMode> {};

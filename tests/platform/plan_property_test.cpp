@@ -1,7 +1,8 @@
 // Property tests shared by both machine models: the planning abstraction
 // must agree with the live machine and never oversubscribe, and every Plan
 // implementation must keep the Plan contract (platform/machine.hpp): the
-// find_start properties (a) and (b), and order-independence (c).
+// find_start properties (a) and (b), order-independence (c), and refusals
+// that extend to dominating jobs (d).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -171,6 +172,35 @@ TEST_P(PlanPropertyTest, SoftCommitReservesCapacity) {
   EXPECT_EQ(plan->find_start(probe, 0), 1000);
 }
 
+TEST_P(PlanPropertyTest, CanStartRefusalsAreMonotoneInOccupancy) {
+  // Machine::can_start: once the machine refuses a job, it refuses every
+  // job at least as wide, and further starts keep it refused — the machine
+  // half of the backfill probe filter's premise (sched/backfill.hpp).
+  auto machine = make_machine(GetParam());
+  Rng rng(GetParam() == MachineKind::kFlat ? 71 : 73);
+  const NodeCount total = machine->total_nodes();
+  std::vector<Job> refused;
+  for (JobId step = 0; step < 12; ++step) {
+    Job j = random_job(step, rng);
+    j.nodes = rng.uniform_int(1, total / 4);
+    (void)machine->start(j, 0);
+    for (JobId q = 0; q < 20; ++q) {
+      const Job probe = random_job(1000 + q, rng);
+      if (!machine->can_start(probe)) refused.push_back(probe);
+    }
+    for (const Job& r : refused) {
+      Job wider = r;
+      for (int d = 0; d < 3; ++d) {
+        wider.nodes = rng.uniform_int(r.nodes, total);
+        EXPECT_FALSE(machine->can_start(wider))
+            << "step " << step << ": refused " << r.nodes << " nodes, admitted "
+            << wider.nodes;
+      }
+    }
+  }
+  EXPECT_GE(refused.size(), 100u);
+}
+
 TEST_P(PlanPropertyTest, StartFinishRoundTripRestoresIdle) {
   auto machine = make_machine(GetParam());
   Rng rng(23);
@@ -331,6 +361,63 @@ TEST_P(PlanContractTest, AnswersDependOnlyOnTheMultisetOfHardCommits) {
   // Orders often move a job to another partition, but enough sets must
   // agree for the check to mean something (160 of 200 flat, 44 partition).
   EXPECT_GE(compared, trials / 10) << "only " << compared << " sets agreed";
+}
+
+TEST_P(PlanContractTest, RefusalsExtendToDominatingJobsAcrossCommits) {
+  // Property (d) together with (a): once fits_at(j, t) is false, fits_at
+  // stays false at t for every job at least as wide (occupancy) and at
+  // least as long (walltime), after any further hard and soft commits —
+  // the plan half of the backfill probe filter's premise.
+  const auto [kind, source] = GetParam();
+  Rng rng(kind == MachineKind::kFlat ? 61 : 63);
+  const NodeCount total = make_machine(kind)->total_nodes();
+  std::size_t refusals = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    auto machine = make_machine(kind);
+    for (JobId r = 0; r < 5; ++r) (void)machine->start(random_job(500 + r, rng), 0);
+    const SimTime now = rng.uniform_int(0, 300);
+    std::unique_ptr<PlanProvider> provider;
+    std::unique_ptr<Plan> plan;
+    if (source == PlanSource::kMachine) {
+      plan = machine->make_plan(now);
+    } else {
+      provider = make_plan_provider(*machine, PlanMode::kCalendar);
+      plan = provider->plan(now);
+    }
+
+    struct Refused {
+      Job job;
+      SimTime t;
+    };
+    std::vector<Refused> refused;
+    for (int step = 0; step <= 10; ++step) {
+      if (step > 0) {
+        Job j = random_job(step, rng);
+        j.nodes = rng.uniform_int(1, total / 2);
+        const SimTime start = plan->find_start(j, now + rng.uniform_int(0, 3000));
+        if (step % 3 == 0) plan->commit_soft(j, start);
+        else plan->commit(j, start);
+      }
+      for (JobId q = 0; q < 10; ++q) {
+        const Job probe = random_job(900 + q, rng);
+        const SimTime t = q % 2 == 0 ? now : now + rng.uniform_int(0, 4000);
+        if (!plan->fits_at(probe, t)) refused.push_back({probe, t});
+      }
+      for (const Refused& r : refused) {
+        Job dominating = r.job;
+        for (int d = 0; d < 3; ++d) {
+          dominating.nodes = rng.uniform_int(r.job.nodes, total);
+          dominating.walltime = r.job.walltime + rng.uniform_int(0, 3600);
+          EXPECT_FALSE(plan->fits_at(dominating, r.t))
+              << "trial " << trial << " step " << step << " t=" << r.t << ": refused ("
+              << r.job.nodes << ", " << r.job.walltime << "), admitted ("
+              << dominating.nodes << ", " << dominating.walltime << ")";
+        }
+      }
+    }
+    refusals += refused.size();
+  }
+  EXPECT_GE(refusals, 100u);
 }
 
 std::string contract_name(

@@ -136,6 +136,31 @@ TEST(SwfReadTest, FractionalRuntimeAccepted) {
   EXPECT_EQ(trace.value().job(0).runtime, 59);
 }
 
+// A runtime (field 4) that is not a finite value in int64 range cannot be
+// truncated to whole seconds; the record is an error naming its line and
+// field, not a silently accepted 0 s job.
+TEST(SwfReadTest, NonFiniteOrHugeRuntimeFails) {
+  for (const char* runtime : {"nan", "inf", "-inf", "1e300", "-1e300"}) {
+    std::istringstream in(std::string("; header\n1 0 -1 ") + runtime +
+                          " 8 -1 -1 8 600 -1 1 -1 -1 -1 0 -1 -1 -1\n");
+    const auto trace = read_swf(in, SwfReadOptions{});
+    ASSERT_FALSE(trace.ok()) << "runtime " << runtime;
+    EXPECT_NE(trace.error().context.find("line 2"), std::string::npos) << runtime;
+    EXPECT_NE(trace.error().message.find("field 4"), std::string::npos) << runtime;
+  }
+}
+
+// Without a requested time the walltime falls back to ceil(factor *
+// runtime); at the default factor 1.5 a runtime of 7e18 s (castable on its
+// own) gives 1.05e19 s, past INT64_MAX.
+TEST(SwfReadTest, FallbackWalltimePastInt64Fails) {
+  std::istringstream in("1 0 -1 7e18 8 -1 -1 8 -1 -1 1 -1 -1 -1 0 -1 -1 -1\n");
+  const auto trace = read_swf(in, SwfReadOptions{});
+  ASSERT_FALSE(trace.ok());
+  EXPECT_NE(trace.error().context.find("line 1"), std::string::npos);
+  EXPECT_NE(trace.error().message.find("field 4"), std::string::npos);
+}
+
 TEST(SwfRoundTripTest, WriteThenReadIsIdentity) {
   std::vector<Job> jobs;
   for (int i = 0; i < 20; ++i) {
