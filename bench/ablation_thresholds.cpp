@@ -26,6 +26,11 @@ int run(int argc, const char** argv) {
                  flags.usage("ablation_thresholds").c_str());
     return 1;
   }
+  if (flags.get_i64("fairness-stride") < 1) {
+    std::fprintf(stderr, "--fairness-stride must be at least 1\n%s",
+                 flags.usage("ablation_thresholds").c_str());
+    return 1;
+  }
   const auto trace = intrepid_trace(days(flags.get_i64("horizon-days")),
                                     static_cast<std::uint64_t>(flags.get_i64("seed")));
   const auto stride = static_cast<std::size_t>(flags.get_i64("fairness-stride"));

@@ -14,6 +14,7 @@
 
 #include "common.hpp"
 #include "util/flags.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 #include <iostream>
@@ -29,6 +30,11 @@ int run(int argc, const char** argv) {
                "evaluate every k-th job's fair start (1 = every job)");
   if (const auto parsed = flags.parse(argc, argv); !parsed.ok()) {
     std::fprintf(stderr, "%s\n%s", parsed.error().to_string().c_str(),
+                 flags.usage("fig3_balance_sweep").c_str());
+    return 1;
+  }
+  if (flags.get_i64("fairness-stride") < 1) {
+    std::fprintf(stderr, "--fairness-stride must be at least 1\n%s",
                  flags.usage("fig3_balance_sweep").c_str());
     return 1;
   }
@@ -54,14 +60,17 @@ int run(int argc, const char** argv) {
   std::vector<std::vector<Cell>> grid(windows.size(),
                                       std::vector<Cell>(bfs.size()));
 
-  for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-    for (std::size_t bi = 0; bi < bfs.size(); ++bi) {
-      const auto spec = BalancerSpec::fixed(bfs[bi], windows[wi]);
-      const auto report = full_report(spec, trace, stride);
-      grid[wi][bi] = Cell{report.avg_wait_min, report.unfair_jobs.value_or(0),
-                          report.loss_of_capacity * 100.0};
-    }
-  }
+  // The cells are independent runs, spread over the CPUs; each writes only
+  // its own slot. Inside a parallel_for body each cell's fair-start oracle
+  // runs serially (util/parallel.hpp), so the grid is the only fan-out.
+  parallel_for(windows.size() * bfs.size(), [&](std::size_t i) {
+    const std::size_t wi = i / bfs.size();
+    const std::size_t bi = i % bfs.size();
+    const auto spec = BalancerSpec::fixed(bfs[bi], windows[wi]);
+    const auto report = full_report(spec, trace, stride);
+    grid[wi][bi] = Cell{report.avg_wait_min, report.unfair_jobs.value_or(0),
+                        report.loss_of_capacity * 100.0};
+  });
 
   auto bf_headers = [&] {
     std::vector<std::string> h = {"W \\ BF"};

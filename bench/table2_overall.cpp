@@ -49,6 +49,11 @@ int run(int argc, const char** argv) {
                  flags.usage("table2_overall").c_str());
     return 1;
   }
+  if (flags.get_i64("fairness-stride") < 1) {
+    std::fprintf(stderr, "--fairness-stride must be at least 1\n%s",
+                 flags.usage("table2_overall").c_str());
+    return 1;
+  }
   obs::Session obs_session(flags);
   // Checkpoint/resume applies to the WhatIf row — the only row run outside
   // run_spec, and the longest one (the row worth resuming after a kill).

@@ -85,6 +85,11 @@ int main(int argc, const char** argv) {
                  flags.usage("campaign_driver").c_str());
     return 1;
   }
+  if (flags.get_i64("fairness-stride") < 0) {
+    std::fprintf(stderr, "--fairness-stride must be at least 0 (0 skips the oracle)\n%s",
+                 flags.usage("campaign_driver").c_str());
+    return 1;
+  }
   obs::Session obs_session(flags);
 
   auto machine = parse_machine(flags.get("machine"));

@@ -61,6 +61,11 @@ int main(int argc, const char** argv) {
                  flags.usage("intrepid_campaign").c_str());
     return 1;
   }
+  if (flags.get_i64("fairness-stride") < 0) {
+    std::fprintf(stderr, "--fairness-stride must be at least 0 (0 skips the oracle)\n%s",
+                 flags.usage("intrepid_campaign").c_str());
+    return 1;
+  }
 
   campaign::CampaignSpec spec;
   spec.machine = MachineSpec::partitioned();

@@ -79,6 +79,11 @@ int main(int argc, const char** argv) {
                  flags.usage("policy_explorer").c_str());
     return 1;
   }
+  if (flags.get_i64("fairness-stride") < 1) {
+    std::fprintf(stderr, "--fairness-stride must be at least 1\n%s",
+                 flags.usage("policy_explorer").c_str());
+    return 1;
+  }
   obs::Session obs_session(flags);
   // Checkpoint/resume applies to the *traced* run: the what-if row in
   // --what-if mode, grid cell 0 in sweep mode (the other cells are

@@ -4,7 +4,9 @@
 #include <cassert>
 #include <utility>
 
+#include "obs/registry.hpp"
 #include "sim/snapshot.hpp"
+#include "util/parallel.hpp"
 
 namespace amjs {
 
@@ -51,34 +53,70 @@ FairnessResult FairStartEvaluator::evaluate(const JobTrace& trace,
   fork_config.trace_sink = nullptr;
   fork_config.stop_after_passes = 0;
   fork_config.stop_once_started = kInvalidJob;
-  const auto fork_machine = machine_factory_();
-  const auto fork_scheduler = scheduler_factory_();
 
-  // The full run, forked at the end of every probed submit instant and
-  // cut off after the last one.
-  std::size_t next = 0;  // first probe not forked yet
-  SimConfig full_config = fork_config;
-  full_config.stop_at = std::min(full_config.stop_at, trace.job(probes.back()).submit);
-  full_config.on_instant_end = [&](const SchedContext& ctx) {
-    const SimTime now = ctx.now();
-    if (next == probes.size() || trace.job(probes[next]).submit != now) return;
-    const JobTrace truncated = trace.truncated_at(now);
-    SimSnapshot fork = ctx.capture();
-    truncate_snapshot(fork, truncated.size());
-    for (; next < probes.size() && trace.job(probes[next]).submit == now; ++next) {
-      const JobId id = probes[next];
-      fork_config.stop_once_started = id;
-      Simulator sim(*fork_machine, *fork_scheduler, fork_config);
-      result.fair_start[static_cast<std::size_t>(id)] =
-          sim.resume(truncated, fork).schedule[static_cast<std::size_t>(id)].start;
-    }
+  // Contiguous segments of probes with equal counts (to within one), each
+  // with its own full run and fork instances, all built here on the
+  // calling thread: factories need not be thread-safe.
+  struct Segment {
+    std::size_t begin = 0;
+    std::size_t end = 0;  // one past the segment's last probe
+    std::unique_ptr<Machine> full_machine;
+    std::unique_ptr<Scheduler> full_scheduler;
+    std::unique_ptr<Machine> fork_machine;
+    std::unique_ptr<Scheduler> fork_scheduler;
   };
-  {
-    const auto machine = machine_factory_();
-    const auto scheduler = scheduler_factory_();
-    Simulator full(*machine, *scheduler, full_config);
-    (void)full.run(trace);
+  const std::size_t width = std::min<std::size_t>(parallel_width(), probes.size());
+  std::vector<Segment> segments(width);
+  for (std::size_t s = 0; s < width; ++s) {
+    Segment& segment = segments[s];
+    segment.begin = s * probes.size() / width;
+    segment.end = (s + 1) * probes.size() / width;
+    segment.full_machine = machine_factory_();
+    segment.full_scheduler = scheduler_factory_();
+    segment.fork_machine = machine_factory_();
+    segment.fork_scheduler = scheduler_factory_();
   }
+  if (obs::Registry::enabled()) {
+    static obs::Counter& probe_counter =
+        obs::Registry::global().counter("fairness.probes");
+    static obs::Counter& segment_counter =
+        obs::Registry::global().counter("fairness.segments");
+    probe_counter.add(probes.size());
+    segment_counter.add(width);
+  }
+
+  // A segment's full run, forked at the end of each of its probed submit
+  // instants and cut off after its last one. Every segment replays the
+  // same deterministic run up to its own stop, so a fork's state does not
+  // depend on which segment took it; a segment writes only its own probes'
+  // fair_start slots.
+  parallel_for(
+      width,
+      [&](std::size_t s) {
+        Segment& segment = segments[s];
+        SimConfig probe_config = fork_config;
+        std::size_t next = segment.begin;  // first probe not forked yet
+        SimConfig full_config = fork_config;
+        full_config.stop_at =
+            std::min(full_config.stop_at, trace.job(probes[segment.end - 1]).submit);
+        full_config.on_instant_end = [&](const SchedContext& ctx) {
+          const SimTime now = ctx.now();
+          if (next == segment.end || trace.job(probes[next]).submit != now) return;
+          const JobTrace truncated = trace.truncated_at(now);
+          SimSnapshot fork = ctx.capture();
+          truncate_snapshot(fork, truncated.size());
+          for (; next < segment.end && trace.job(probes[next]).submit == now; ++next) {
+            const JobId id = probes[next];
+            probe_config.stop_once_started = id;
+            Simulator sim(*segment.fork_machine, *segment.fork_scheduler, probe_config);
+            result.fair_start[static_cast<std::size_t>(id)] =
+                sim.resume(truncated, fork).schedule[static_cast<std::size_t>(id)].start;
+          }
+        };
+        Simulator full(*segment.full_machine, *segment.full_scheduler, full_config);
+        (void)full.run(trace);
+      },
+      static_cast<unsigned>(width));
 
   for (const JobId id : probes) {
     const SimTime fair = result.fair_start[static_cast<std::size_t>(id)];

@@ -14,6 +14,15 @@
 // full run have processed the same events, so the fork's state is the
 // truncated run's state and its start is the fair start.
 //
+// The probes fan out over parallel_width() threads (util/parallel.hpp) in
+// contiguous segments of equal probe count. Each segment replays the full
+// run up to its own last probe and forks its own probes, with its own
+// machine/scheduler instances and at most one snapshot in flight. Every
+// segment replays the same deterministic run, so the result does not
+// depend on the cut. Called from inside a parallel_for body (a sweep
+// that already runs its cells in parallel) the width is 1: one segment,
+// the serial loop.
+//
 // Precondition: the policy's decisions at time t depend only on the jobs
 // submitted by t. Every policy in src/sched and src/core meets it except
 // WhatIfTuner, whose twin replays later arrivals from ctx.trace(): forked
@@ -48,8 +57,8 @@ class FairStartEvaluator {
   using SchedulerFactory = std::function<std::unique_ptr<Scheduler>()>;
 
   /// Factories must reproduce the machine/policy of the run being judged;
-  /// evaluate() builds one instance pair for its full run and one for the
-  /// forks.
+  /// evaluate() builds, on the calling thread, two instance pairs per
+  /// segment: one for the segment's full run and one for its forks.
   FairStartEvaluator(MachineFactory machine_factory,
                      SchedulerFactory scheduler_factory,
                      SimConfig sim_config = {});
@@ -57,12 +66,16 @@ class FairStartEvaluator {
   /// Compare `actual` (the full-trace run) against per-job fair starts.
   /// `tolerance`: slack before a late start counts as unfair (the paper
   /// counts any delay; 0 by default).
-  /// `stride`: evaluate every job (1) or a systematic sample (>1) — the
-  /// sampled unfair count is scaled by the stride in reports, not here.
-  /// Cost: one full-trace simulation; per probed submit instant, an O(n)
-  /// snapshot; per probed job (started, but not on arrival), an O(n)
-  /// restore and a fork that runs until the job starts. Forks run one at
-  /// a time, so memory stays that of one run.
+  /// `stride`: evaluate every job (1) or a systematic sample (>1); must be
+  /// at least 1. The sampled unfair count is scaled by the stride in
+  /// reports, not here.
+  /// Cost: per segment, a full-trace simulation up to its last probe
+  /// (about (width+1)/2 full runs in all); per probed submit instant, an
+  /// O(n) snapshot; per probed job (started, but not on arrival), an O(n)
+  /// restore and a fork that runs until the job starts. A segment forks
+  /// one probe at a time, so memory is at most width x (one full run, one
+  /// fork and one snapshot); width is 1 under a one-CPU affinity mask or
+  /// inside a parallel_for body.
   [[nodiscard]] FairnessResult evaluate(const JobTrace& trace, const SimResult& actual,
                                         Duration tolerance = 0,
                                         std::size_t stride = 1) const;

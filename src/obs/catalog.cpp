@@ -56,6 +56,10 @@ constexpr CatalogEntry kCatalog[] = {
      "window search-tree nodes expanded by WindowAllocator"},
     {"core.window_decide", MetricKind::kTimer,
      "wall time of one WindowAllocator decision"},
+    {"fairness.probes", MetricKind::kCounter,
+     "jobs the fair-start oracle forked a run for (started, but not on arrival)"},
+    {"fairness.segments", MetricKind::kCounter,
+     "fair-start probe segments run, each with its own full run (one per thread)"},
     {"fleet.poll", MetricKind::kTimer,
      "wall time of one stats poll round trip to a worker"},
     {"fleet.poll_errors", MetricKind::kCounter,

@@ -1,6 +1,9 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
+
 #include "util/fmt.hpp"
 
 namespace amjs {
@@ -9,6 +12,20 @@ double TraceStats::offered_load(NodeCount machine_nodes) const {
   const auto horizon = static_cast<double>(last_submit - first_submit);
   if (horizon <= 0.0 || machine_nodes <= 0) return 0.0;
   return total_node_seconds / (static_cast<double>(machine_nodes) * horizon);
+}
+
+JobTrace::JobTrace(JobTrace&& other) noexcept
+    : storage_(std::move(other.storage_)), jobs_(std::exchange(other.jobs_, {})) {}
+
+JobTrace& JobTrace::operator=(JobTrace&& other) noexcept {
+  storage_ = std::move(other.storage_);
+  jobs_ = std::exchange(other.jobs_, {});
+  return *this;
+}
+
+void JobTrace::throw_no_job(JobId id) const {
+  throw std::out_of_range(
+      amjs::format("JobTrace::job: id {} outside a trace of {} jobs", id, jobs_.size()));
 }
 
 Result<JobTrace> JobTrace::from_jobs(std::vector<Job> jobs) {
@@ -24,7 +41,8 @@ Result<JobTrace> JobTrace::from_jobs(std::vector<Job> jobs) {
     }
   }
   JobTrace trace;
-  trace.jobs_ = std::move(jobs);
+  trace.storage_ = std::make_shared<const std::vector<Job>>(std::move(jobs));
+  trace.jobs_ = *trace.storage_;
   return trace;
 }
 
@@ -64,9 +82,8 @@ JobTrace JobTrace::truncated_at(SimTime cutoff) const {
 }
 
 JobTrace JobTrace::prefix(std::size_t n) const {
-  JobTrace out;
-  out.jobs_.assign(jobs_.begin(),
-                   jobs_.begin() + static_cast<std::ptrdiff_t>(std::min(n, jobs_.size())));
+  JobTrace out = *this;
+  out.jobs_ = jobs_.first(std::min(n, jobs_.size()));
   return out;
 }
 

@@ -1,6 +1,7 @@
 // JobTrace: an ordered batch of jobs plus summary statistics.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,9 +31,20 @@ struct TraceStats {
 };
 
 /// An immutable, submit-ordered collection of jobs with dense 0-based ids.
+///
+/// The jobs live in shared immutable storage: copies, prefix() and
+/// truncated_at() are O(1) views that keep that storage alive, so a view
+/// outlives the trace it came from. Views are safe to copy and read from
+/// any number of threads.
 class JobTrace {
  public:
   JobTrace() = default;
+  JobTrace(const JobTrace&) = default;
+  JobTrace& operator=(const JobTrace&) = default;
+  /// A moved-from trace is empty.
+  JobTrace(JobTrace&& other) noexcept;
+  JobTrace& operator=(JobTrace&& other) noexcept;
+  ~JobTrace() = default;
 
   /// Takes ownership; sorts by (submit, id) and re-assigns dense ids in the
   /// sorted order so JobId indexes directly into jobs().
@@ -42,19 +54,27 @@ class JobTrace {
   [[nodiscard]] std::span<const Job> jobs() const { return jobs_; }
   [[nodiscard]] std::size_t size() const { return jobs_.size(); }
   [[nodiscard]] bool empty() const { return jobs_.empty(); }
-  [[nodiscard]] const Job& job(JobId id) const { return jobs_.at(static_cast<std::size_t>(id)); }
+  /// Throws std::out_of_range for an id outside this trace (or view).
+  [[nodiscard]] const Job& job(JobId id) const {
+    const auto index = static_cast<std::size_t>(id);
+    if (index >= jobs_.size()) throw_no_job(id);
+    return jobs_[index];
+  }
 
   [[nodiscard]] TraceStats stats() const;
 
-  /// Copy of the trace containing only jobs with submit <= cutoff — the
-  /// "assume no later arrivals" workload used by the fair-start oracle.
+  /// View of the jobs with submit <= cutoff — the "assume no later
+  /// arrivals" workload used by the fair-start oracle. O(log n).
   [[nodiscard]] JobTrace truncated_at(SimTime cutoff) const;
 
-  /// Copy containing only the first n jobs (prefix in submit order).
+  /// View of the first n jobs (prefix in submit order). O(1).
   [[nodiscard]] JobTrace prefix(std::size_t n) const;
 
  private:
-  std::vector<Job> jobs_;
+  [[noreturn]] void throw_no_job(JobId id) const;
+
+  std::shared_ptr<const std::vector<Job>> storage_;
+  std::span<const Job> jobs_;  // a prefix of *storage_
 };
 
 }  // namespace amjs

@@ -2,13 +2,17 @@
 // tests/support re-simulates each probe's truncated trace from t=0. The
 // two must agree on every fair start and every unfair job: for the seven
 // Table II rows plus dynP, relaxed and lookahead backfilling, on a flat and
-// a partition machine, with failure injection off and on.
+// a partition machine, with failure injection off and on. The evaluator
+// also splits its probes into one segment per CPU; the same matrix checks
+// that the split changes nothing against the one-segment loop it runs
+// inside a parallel_for body.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/balancer.hpp"
@@ -23,6 +27,7 @@
 #include "sim/simulator.hpp"
 #include "sim/snapshot.hpp"
 #include "support/fair_start_reference.hpp"
+#include "util/parallel.hpp"
 #include "workload/synthetic.hpp"
 
 namespace amjs {
@@ -146,6 +151,48 @@ TEST(FairStartForkTest, MatchesReferenceForEveryPolicyMachineAndFailureProfile) 
   }
 }
 
+/// evaluate() from inside a parallel_for body, where parallel_width() is 1:
+/// one segment, the serial loop.
+FairnessResult evaluate_in_one_segment(const FairStartEvaluator& evaluator,
+                                       const JobTrace& trace, const SimResult& actual,
+                                       Duration tolerance) {
+  FairnessResult out;
+  parallel_for(1, [&](std::size_t) {
+    EXPECT_EQ(parallel_width(), 1u);
+    out = evaluator.evaluate(trace, actual, tolerance);
+  });
+  return out;
+}
+
+TEST(FairStartForkTest, SplitEqualsOneSegmentForEveryPolicyMachineAndFailureProfile) {
+  if (parallel_width() == 1) {
+    GTEST_SKIP() << "one CPU in the affinity mask: evaluate() runs one segment "
+                    "at top level too, so there is no split to compare";
+  }
+  const JobTrace trace = fork_trace();
+  for (const MachineCase& machine : machines()) {
+    for (const PolicyCase& policy : policies()) {
+      for (const bool failures : {false, true}) {
+        SCOPED_TRACE(machine.name + " / " + policy.name +
+                     (failures ? " / failures" : " / no failures"));
+        const SimConfig config = sim_config(failures);
+        SimResult actual;
+        {
+          auto m = machine.make();
+          auto s = policy.make();
+          actual = Simulator(*m, *s, config).run(trace);
+        }
+        const FairStartEvaluator evaluator(machine.make, policy.make, config);
+        const FairnessResult split = evaluator.evaluate(trace, actual, minutes(10));
+        const FairnessResult serial =
+            evaluate_in_one_segment(evaluator, trace, actual, minutes(10));
+        EXPECT_EQ(split.fair_start, serial.fair_start);
+        EXPECT_EQ(split.unfair_jobs, serial.unfair_jobs);
+      }
+    }
+  }
+}
+
 TEST(FairStartForkTest, SuiteTraceExercisesTiesChecksAndFailures) {
   // Guard the suite's coverage: under the base policy some probed job
   // shares its submit second with another job, some probed job submits
@@ -239,6 +286,53 @@ TEST(FairStartForkTest, SameSecondSubmitsAtAMetricCheckAreForkedOnce) {
   EXPECT_EQ(c.forked.unfair_jobs, c.reference.unfair_jobs);
   EXPECT_EQ(c.forked.fair_start[1], hours(1));
   EXPECT_EQ(c.forked.fair_start[2], hours(1) + 2000);
+}
+
+std::size_t probe_count(const SimResult& actual) {
+  return static_cast<std::size_t>(std::count_if(
+      actual.schedule.begin(), actual.schedule.end(), [](const ScheduleEntry& e) {
+        return !e.skipped && e.started() && e.start != e.submit;
+      }));
+}
+
+TEST(FairStartForkTest, FewerProbesThanCpusAndOneSubmitSecond) {
+  // Job 0 holds 90 of 100 nodes for an hour, so every later job wider than
+  // 10 nodes waits: a probe. One to three probes at distinct seconds (fewer
+  // segments than CPUs), then six probes submitted in one second, with a
+  // narrow job after them that backfills on arrival (not a probe).
+  const MachineCase machine{"flat", [] { return std::make_unique<FlatMachine>(100); }};
+  const PolicyCase easy{"easy", [] { return std::make_unique<EasyBackfillScheduler>(); }};
+  std::vector<std::pair<std::vector<Job>, std::size_t>> cases;
+  for (std::size_t probes = 1; probes <= 3; ++probes) {
+    std::vector<Job> jobs = {make_job(0, hours(1), 90)};
+    for (std::size_t i = 0; i < probes; ++i) {
+      jobs.push_back(make_job(static_cast<SimTime>(60 * (i + 1)),
+                              static_cast<Duration>(600 * (i + 1)),
+                              static_cast<NodeCount>(40 + 20 * i)));
+    }
+    cases.emplace_back(std::move(jobs), probes);
+  }
+  std::vector<Job> one_second = {make_job(0, hours(1), 90)};
+  for (const NodeCount nodes : {60, 30, 100, 20, 50, 40}) {
+    one_second.push_back(make_job(60, 300 + 10 * nodes, nodes));
+  }
+  one_second.push_back(make_job(120, 100, 10));
+  cases.emplace_back(std::move(one_second), 6);
+
+  for (auto& [jobs, probes] : cases) {
+    SCOPED_TRACE(std::to_string(jobs.size()) + " jobs");
+    auto built = JobTrace::from_jobs(jobs);
+    ASSERT_TRUE(built.ok());
+    const JobTrace trace = std::move(built).value();
+    const Compared c = compare(trace, machine, easy, /*failures=*/false, 0);
+    ASSERT_EQ(probe_count(c.actual), probes);
+    EXPECT_EQ(c.forked.fair_start, c.reference.fair_start);
+    EXPECT_EQ(c.forked.unfair_jobs, c.reference.unfair_jobs);
+    const FairStartEvaluator evaluator(machine.make, easy.make, sim_config(false));
+    const FairnessResult serial = evaluate_in_one_segment(evaluator, trace, c.actual, 0);
+    EXPECT_EQ(c.forked.fair_start, serial.fair_start);
+    EXPECT_EQ(c.forked.unfair_jobs, serial.unfair_jobs);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #include "util/parallel.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "core/balancer.hpp"
 #include "platform/flat.hpp"
@@ -34,6 +36,54 @@ TEST(ParallelForTest, MoreThreadsThanWorkIsSafe) {
   std::atomic<int> total{0};
   parallel_for(3, [&](std::size_t) { ++total; }, 64);
   EXPECT_EQ(total.load(), 3);
+}
+
+TEST(ParallelForTest, NestedLoopRunsInlineOnTheCallingWorker) {
+  // Every index of an inner parallel_for runs on the outer body's thread,
+  // in order, whatever thread count the inner call asks for.
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 16;
+  std::vector<std::thread::id> outer_thread(kOuter);
+  std::vector<std::vector<std::thread::id>> inner_thread(kOuter);
+  std::vector<std::vector<std::size_t>> inner_order(kOuter);
+  parallel_for(
+      kOuter,
+      [&](std::size_t o) {
+        outer_thread[o] = std::this_thread::get_id();
+        parallel_for(
+            kInner,
+            [&](std::size_t i) {
+              inner_thread[o].push_back(std::this_thread::get_id());
+              inner_order[o].push_back(i);
+            },
+            4);
+      },
+      4);
+  std::vector<std::size_t> in_order(kInner);
+  std::iota(in_order.begin(), in_order.end(), 0);
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    ASSERT_EQ(inner_thread[o].size(), kInner);
+    for (const std::thread::id id : inner_thread[o]) EXPECT_EQ(id, outer_thread[o]);
+    EXPECT_EQ(inner_order[o], in_order);
+  }
+}
+
+TEST(ParallelWidthTest, IsTheAffinityMaskOutsideABodyAndOneInside) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  const auto cpus = static_cast<unsigned>(CPU_COUNT(&mask));
+  EXPECT_EQ(parallel_width(), cpus);
+
+  // Inside a body, threaded or inline (one index, or threads = 1).
+  for (const auto& [count, threads] : {std::pair{std::size_t{4}, 4u},
+                                       std::pair{std::size_t{1}, 0u},
+                                       std::pair{std::size_t{3}, 1u}}) {
+    std::vector<unsigned> widths(count);
+    parallel_for(count, [&](std::size_t i) { widths[i] = parallel_width(); }, threads);
+    for (const unsigned w : widths) EXPECT_EQ(w, 1u);
+  }
+  EXPECT_EQ(parallel_width(), cpus);  // restored once the loop returns
 }
 
 TEST(ParallelMapTest, ProducesAllResultsInOrder) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace amjs {
@@ -127,6 +129,57 @@ TEST(JobTraceTest, PrefixClampsToSize) {
   EXPECT_EQ(trace.value().prefix(1).size(), 1u);
   EXPECT_EQ(trace.value().prefix(99).size(), 2u);
   EXPECT_EQ(trace.value().prefix(0).size(), 0u);
+}
+
+TEST(JobTraceTest, PrefixAndTruncationAreViewsOfOneStorage) {
+  auto built = JobTrace::from_jobs({make_job(0), make_job(100), make_job(200)});
+  ASSERT_TRUE(built.ok());
+  const JobTrace& trace = built.value();
+  const JobTrace copy = trace;
+  const JobTrace head = trace.prefix(2);
+  const JobTrace cut = trace.truncated_at(100);
+  const JobTrace nested = cut.prefix(1);
+  EXPECT_EQ(copy.jobs().data(), trace.jobs().data());
+  EXPECT_EQ(head.jobs().data(), trace.jobs().data());
+  EXPECT_EQ(cut.jobs().data(), trace.jobs().data());
+  EXPECT_EQ(nested.jobs().data(), trace.jobs().data());
+  EXPECT_EQ(&cut.job(1), &trace.job(1));
+  EXPECT_EQ(nested.size(), 1u);
+}
+
+TEST(JobTraceTest, JobThrowsPastTheEndOfAView) {
+  auto built = JobTrace::from_jobs({make_job(0), make_job(100), make_job(200)});
+  ASSERT_TRUE(built.ok());
+  const JobTrace cut = built.value().truncated_at(100);
+  EXPECT_EQ(cut.job(1).submit, 100);
+  EXPECT_THROW((void)cut.job(2), std::out_of_range);  // in the storage, not the view
+  EXPECT_THROW((void)cut.job(-1), std::out_of_range);
+  EXPECT_THROW((void)built.value().prefix(0).job(0), std::out_of_range);
+  EXPECT_THROW((void)JobTrace().job(0), std::out_of_range);
+}
+
+TEST(JobTraceTest, ViewOutlivesTheTraceItCameFrom) {
+  JobTrace cut;
+  {
+    auto built =
+        JobTrace::from_jobs({make_job(0, 10), make_job(100, 20), make_job(200, 30)});
+    ASSERT_TRUE(built.ok());
+    cut = built.value().truncated_at(100);
+  }
+  ASSERT_EQ(cut.size(), 2u);
+  EXPECT_EQ(cut.job(0).runtime, 10);
+  EXPECT_EQ(cut.job(1).runtime, 20);
+}
+
+TEST(JobTraceTest, MovedFromTraceIsEmpty) {
+  auto built = JobTrace::from_jobs({make_job(0), make_job(100)});
+  ASSERT_TRUE(built.ok());
+  JobTrace source = built.value();
+  const JobTrace moved = std::move(source);
+  EXPECT_EQ(moved.size(), 2u);
+  EXPECT_TRUE(source.empty());
+  source = moved.prefix(1);
+  EXPECT_EQ(source.size(), 1u);
 }
 
 }  // namespace
