@@ -1,19 +1,18 @@
 // campaign_driver: fan a (policy × workload × seed × fault) campaign
-// across a twin_worker fleet — or run it in-process — and aggregate the
+// across a sched_server fleet — or run it in-process — and aggregate the
 // cells into one deterministic report.
 //
 //   # 24 cells, all local:
 //   $ ./campaign_driver --policies base,bf0.5w4,2d --seeds 1,2,3,4
 //       --fault-rates 0,1e-4 --days 2
 //
-//   # same campaign over three workers (one may die; the driver requeues
+//   # same campaign over three servers (one may die; the driver requeues
 //   # and finishes locally if it must), byte-identical --result-json:
-//   $ ./twin_worker --listen unix:/tmp/w1.sock &   # x3
+//   $ ./sched_server --listen unix:/tmp/w1.sock &   # x3
 //   $ ./campaign_driver ... --workers unix:/tmp/w1.sock,unix:/tmp/w2.sock
 //       --workers unix:/tmp/w3.sock --result-json campaign.json
 //
-// Workers are twin_worker processes: the same binary serves twinsvc.v1
-// eval requests and campaign.v1 cells.
+// Each cell is one request to the server's campaign plugin.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -61,7 +60,7 @@ int main(int argc, const char** argv) {
   flags.define("fairness-stride", "0",
                "fair-start sampling stride per cell (0 = skip the oracle)");
   flags.define_list("workers", "",
-                    "twin_worker endpoints (unix:/path or tcp:host:port); "
+                    "sched_server endpoints (unix:/path or tcp:host:port); "
                     "empty runs every cell in-process");
   flags.define("cell-timeout-ms", "120000", "per-dispatch deadline per cell");
   flags.define("max-attempts", "3", "remote dispatches per cell before local");
@@ -71,9 +70,9 @@ int main(int argc, const char** argv) {
                "for identical campaigns, local or distributed)");
   flags.define("trace-run-id", "1",
                "trace-context run id stamped into every dispatched cell "
-               "(joins driver and worker traces in trace_merge)");
+               "(joins driver and server traces in trace_merge)");
   flags.define("fleet-stats", "",
-               "poll workers' registries over kStatsRequest and write the "
+               "poll servers' registries over kStatsRequest and write the "
                "folded fleet.<endpoint>.* stats JSON here");
   flags.define("fleet-stats-interval-ms", "1000",
                "fleet poll cadence while the campaign runs (<= 0 polls only "
@@ -166,7 +165,7 @@ int main(int argc, const char** argv) {
               spec.fault_profiles.empty() ? 1 : spec.fault_profiles.size(),
               config.workers.size());
 
-  // Fleet telemetry: poll every worker's registry while the campaign runs
+  // Fleet telemetry: poll every server's registry while the campaign runs
   // and once more after it, folding per-endpoint counters into this
   // process's registry as fleet.<endpoint>.* (the folds need the registry
   // armed even when --obs-stats was not given).

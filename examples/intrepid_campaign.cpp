@@ -1,6 +1,6 @@
 // intrepid_campaign: a month-in-the-life comparison on the Intrepid-class
 // machine — now a thin preset over the campaign orchestrator
-// (src/campaign), so the same run can fan across twin_worker fleets.
+// (src/campaign), so the same run can fan across sched_server fleets.
 //
 // Generates an Intrepid-calibrated synthetic workload (40,960-node BG/P
 // partition machine, diurnal arrivals, one deep submission burst), then
@@ -17,7 +17,7 @@
 // is evaluated on a systematic sample; pass --fairness-stride 1 for the
 // full count. --result-json writes the campaign aggregator's
 // deterministic report — byte-identical whether the cells ran here or on
-// a worker fleet (--workers).
+// a server fleet (--workers).
 //
 //   $ ./intrepid_campaign [--days 7] [--seed 2012] [--fairness-stride 4]
 //       [--workers unix:/tmp/w1.sock,...] [--result-json out.json]
@@ -53,7 +53,7 @@ int main(int argc, const char** argv) {
   flags.define("seed", "2012", "workload seed");
   flags.define("fairness-stride", "4", "fair-start sampling stride (1 = every job)");
   flags.define_list("workers", "",
-                    "twin_worker endpoints; empty runs every cell in-process");
+                    "sched_server endpoints; empty runs every cell in-process");
   flags.define("result-json", "",
                "write the deterministic campaign report here");
   if (const auto parsed = flags.parse(argc, argv); !parsed.ok()) {

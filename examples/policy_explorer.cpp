@@ -59,15 +59,15 @@ int main(int argc, const char** argv) {
                     "reactive tuners instead of sweeping the (BF, W) grid");
   flags.define("what-if-horizon-hours", "6", "twin fork horizon (what-if mode)");
   flags.define("twin-remote", "",
-               "comma-separated twin_worker endpoints (unix:/path or "
+               "comma-separated sched_server endpoints (unix:/path or "
                "tcp:host:port); what-if consults run remotely, degrading to "
-               "the in-process engine when no worker answers");
+               "the in-process engine when no server answers");
   flags.define("twin-timeout-ms", "60000", "per-attempt remote consult deadline");
   flags.define("trace-run-id", "1",
                "trace-context run id stamped into every remote consult "
-               "(joins this trace with the workers' in trace_merge)");
+               "(joins this trace with the servers' in trace_merge)");
   flags.define("fleet-stats", "",
-               "poll --twin-remote workers' registries and write the folded "
+               "poll --twin-remote servers' registries and write the folded "
                "fleet.<endpoint>.* stats JSON here after the run");
   flags.define("result-json", "",
                "write the traced run's deterministic SimResult JSON here "
@@ -92,7 +92,7 @@ int main(int argc, const char** argv) {
 
   // Load or synthesize the workload and pick the machine model. The model
   // is kept as a MachineSpec (data, not a closure) so --twin-remote can
-  // ship it to workers; the factory is derived from the spec, keeping the
+  // ship it to servers; the factory is derived from the spec, keeping the
   // local and remote fork machines one definition.
   JobTrace trace;
   MachineSpec machine_spec;
@@ -136,9 +136,10 @@ int main(int argc, const char** argv) {
         BalancerSpec::what_if(machine_factory,
                               hours(flags.get_i64("what-if-horizon-hours"))),
     };
-    // --twin-remote: the what-if row consults twin_worker processes
-    // instead of forking in-process. Remote verdicts are bit-identical,
-    // so this changes who does the work, never the schedule.
+    // --twin-remote: the what-if row consults sched_server processes
+    // (the eval plugin) instead of forking in-process. Remote verdicts
+    // are bit-identical, so this changes who does the work, never the
+    // schedule.
     if (const std::string remote = flags.get("twin-remote"); !remote.empty()) {
       twinsvc::RemoteTwinConfig remote_config;
       for (const auto field : split(remote, ',')) {

@@ -1,10 +1,11 @@
-// sched_server: the scheduler-as-a-service binary (src/svc).
+// sched_server: the server binary of the service (src/svc).
 //
 // Loads a synthetic dataset (machine + workload + snapshot + calendar
-// plan) at startup, then serves svc.v1 plugin requests — submit-job,
-// what-if, trace-explain, campaign cells — from any number of concurrent
-// clients, with the reload admin frame hot-swapping the resident dataset
-// live. The worker side of `svc_client --connect <endpoint>`.
+// plan) at startup, then serves plugin requests — submit-job, what-if,
+// trace-explain, campaign cells, twin evals — from any number of
+// concurrent clients, with the reload admin plugin hot-swapping the
+// resident dataset live. The server side of `svc_client --connect`,
+// `policy_explorer --twin-remote` and `campaign_driver --workers`.
 //
 //   $ ./sched_server --listen unix:/tmp/sched.sock
 //   $ ./sched_server --listen tcp:127.0.0.1:7801 --machine flat:256
@@ -12,8 +13,9 @@
 // --ready-file PATH writes the resolved endpoint (ephemeral tcp ports
 // included) once the server is accepting, so scripts can wait for it.
 // --max-inflight / --max-queue bound admission (excess load is shed with
-// kSvcBusy), and --stall-ms injects a deterministic per-request stall for
-// deadline/shedding tests.
+// kSvcBusy). --fail-first / --fail-after / --stall-ms / --garbage are the
+// fault-injection harness CI uses: they abort requests, blow deadlines,
+// or corrupt reply CRCs on a deterministic schedule.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -70,9 +72,31 @@ int main(int argc, const char** argv) {
                "requests waiting for a slot before kSvcBusy shedding");
   flags.define("stall-ms", "0",
                "fault injection: sleep inside every admitted request");
+  flags.define("fail-first", "0",
+               "fault injection: drop each of the first N admitted requests "
+               "without a reply");
+  flags.define("fail-after", "-1",
+               "fault injection: serve N admitted requests, then drop every "
+               "later one (-1 = never)");
+  flags.define_bool("garbage",
+                    "fault injection: corrupt the CRC of every reply");
   obs::add_flags(flags);
   if (const auto parsed = flags.parse(argc, argv); !parsed.ok()) {
     std::fprintf(stderr, "%s\n%s", parsed.error().to_string().c_str(),
+                 flags.usage("sched_server").c_str());
+    return 1;
+  }
+  // Checked before anything starts: a negative count would otherwise
+  // wrap (--threads) or fail every request (--io-timeout-ms).
+  for (const char* name : {"threads", "io-timeout-ms", "stall-ms", "fail-first"}) {
+    if (flags.get_i64(name) < 0) {
+      std::fprintf(stderr, "--%s must be at least 0\n%s", name,
+                   flags.usage("sched_server").c_str());
+      return 1;
+    }
+  }
+  if (flags.get_i64("fail-after") < -1) {
+    std::fprintf(stderr, "--fail-after must be at least -1 (-1 = never)\n%s",
                  flags.usage("sched_server").c_str());
     return 1;
   }
@@ -120,6 +144,11 @@ int main(int argc, const char** argv) {
   config.max_inflight = static_cast<int>(flags.get_i64("max-inflight"));
   config.max_queue = static_cast<int>(flags.get_i64("max-queue"));
   config.faults.stall_ms = flags.get_i64("stall-ms");
+  config.faults.fail_first = flags.get_i64("fail-first");
+  config.faults.fail_after = flags.get_i64("fail-after");
+  config.faults.garbage = flags.get_bool("garbage");
+  // Request spans carry the caller's trace context, so driver and server
+  // traces join in trace_merge.
   config.trace_sink = obs_session.sink();
 
   svc::SchedServer server(std::move(listener).value(),

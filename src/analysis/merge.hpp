@@ -1,11 +1,11 @@
 // Multi-process trace merge — one timeline from N per-process JSONL traces.
 //
-// A distributed run (campaign driver + twin_worker fleet, or a tuner with
-// --twin-remote) writes one JSONL trace per process, each on its own
+// A distributed run (campaign driver + sched_server fleet, or a tuner
+// with --twin-remote) writes one JSONL trace per process, each on its own
 // wall-clock epoch. This tool joins them on the trace context the driver
-// stamped into every dispatched frame (obs/context.hpp): a driver-side
+// stamped into every request envelope (obs/context.hpp): a driver-side
 // "rpc" span carries trace_span = dispatch_span_id(request, ordinal); the
-// worker-side "serve_eval" / "serve_cell" span carries the same ids as
+// server-side "request" span (the worker span) carries the same ids as
 // trace_parent. Equal (category, run, request, ordinal) ⇒ the worker span
 // executed inside that dispatch attempt.
 //

@@ -6,8 +6,8 @@
 // simulation request (machine model as data, workload as config or inline
 // trace, policy as a parseable token) that any process can run and whose
 // result is bit-reproducible. Cells are what the campaign driver
-// (campaign/driver.hpp) fans across twin_worker fleets over the
-// campaign.v1 frame family, and what the aggregator (campaign/aggregate.hpp)
+// (campaign/driver.hpp) fans across scheduler-service fleets through the
+// campaign plugin, and what the aggregator (campaign/aggregate.hpp)
 // folds back into Table-II-style reports — in cell-id order, so the final
 // report is byte-identical no matter where or in what order cells ran.
 #pragma once
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "metrics/fairness.hpp"
-#include "obs/context.hpp"
 #include "platform/machine_spec.hpp"
 #include "sim/failures.hpp"
 #include "sim/result.hpp"
@@ -103,10 +102,6 @@ struct CampaignSpec {
 struct CellRequest {
   std::uint64_t cell_id = 0;
 
-  /// Trace context of this dispatch attempt (empty when tracing is off);
-  /// the driver re-stamps it per attempt via patch_trace_context.
-  obs::TraceContext context;
-
   std::string policy_token;
   std::string policy_label;
   std::string workload_label;
@@ -148,8 +143,8 @@ struct CellResult {
   std::int64_t wall_ms = 0;
 };
 
-/// Run one cell to completion. Shared by the worker service and the
-/// driver's local/fallback path, so a cell's result is bit-identical
+/// Run one cell to completion. Shared by the server's campaign plugin
+/// and the driver's local/fallback path, so a cell's result is bit-identical
 /// wherever it runs (wall_ms excepted).
 [[nodiscard]] CellResult run_cell(const CellRequest& cell);
 

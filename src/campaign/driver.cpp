@@ -10,6 +10,7 @@
 #include "campaign/frame.hpp"
 #include "obs/context.hpp"
 #include "obs/registry.hpp"
+#include "twinsvc/client.hpp"
 #include "util/fmt.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
@@ -84,54 +85,19 @@ struct CampaignState {
   }
 };
 
-/// One dispatch attempt of one cell against one worker, deadline-bounded
-/// end to end. `socket` persists across calls on success and is re-dialed
-/// after any failure.
-Result<CellResult> attempt_cell(twinsvc::Socket& socket,
-                                const twinsvc::Endpoint& worker,
-                                const std::string& request_bytes,
-                                std::uint64_t expected_id, int timeout_ms) {
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  const auto remaining_ms = [&]() -> int {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline - Clock::now())
-                          .count();
-    return left > 0 ? static_cast<int>(left) : 0;
-  };
-
-  if (!socket.valid()) {
-    auto dialed = twinsvc::dial(worker, remaining_ms());
-    if (!dialed) return dialed.error();
-    socket = std::move(dialed).value();
+/// One dispatch attempt of one cell through the dispatcher's client.
+Result<CellResult> attempt_cell(twinsvc::Client& client, const std::string& body,
+                                std::uint64_t expected_id,
+                                const obs::TraceContext& context) {
+  auto reply = client.call(twinsvc::Plugin::kCampaign, body, context);
+  if (!reply) return reply.error();
+  auto result = decode_cell_result(reply.value().body);
+  if (!result) return result.error();
+  if (result.value().cell_id != expected_id) {
+    return Error{format("result for cell {} on cell {}'s request",
+                        result.value().cell_id, expected_id)};
   }
-  if (remaining_ms() <= 0) return Error{"cell deadline expired after connect"};
-  if (Status sent = twinsvc::send_frame(socket, request_bytes, remaining_ms());
-      !sent.ok()) {
-    return sent.error();
-  }
-  const int budget = remaining_ms();
-  if (budget <= 0) return Error{"cell deadline expired before reply"};
-  auto frame = twinsvc::recv_frame(socket, budget);
-  if (!frame) return frame.error();
-  switch (frame.value().type) {
-    case twinsvc::FrameType::kCellResult: {
-      auto result = decode_cell_result(frame.value().payload);
-      if (!result) return result.error();
-      if (result.value().cell_id != expected_id) {
-        return Error{format("result for cell {} on cell {}'s request",
-                            result.value().cell_id, expected_id)};
-      }
-      return std::move(result).value();
-    }
-    case twinsvc::FrameType::kError: {
-      auto error = twinsvc::decode_error(frame.value().payload);
-      if (!error) return error.error();
-      return Error{format("worker error: {}", error.value().message)};
-    }
-    default:
-      return Error{format("unexpected frame type {} for a cell request",
-                          static_cast<int>(frame.value().type))};
-  }
+  return result;
 }
 
 /// Dispatcher loop for one endpoint: claim cells until the queue drains
@@ -140,7 +106,7 @@ void dispatch_loop(CampaignState& state, const std::vector<CellRequest>& cells,
                    const std::vector<std::string>& encoded,
                    const twinsvc::Endpoint& worker,
                    const CampaignConfig& config) {
-  twinsvc::Socket socket;
+  twinsvc::Client client(twinsvc::ClientConfig{worker, config.cell_timeout_ms});
   int consecutive_failures = 0;
   while (true) {
     const auto claimed = state.pop();
@@ -159,33 +125,25 @@ void dispatch_loop(CampaignState& state, const std::vector<CellRequest>& cells,
            obs::arg("worker", worker.to_string())});
     }
 
-    // Per-attempt trace context, stamped into a private copy of the sealed
-    // frame (`encoded` is shared across dispatcher threads).
+    // Per-attempt trace context; the body was encoded once.
     obs::TraceContext ctx;
     ctx.run_id = config.trace_run_id;
     ctx.request_id = cells[index].cell_id;
     ctx.ordinal = static_cast<std::uint32_t>(ordinal);
     ctx.parent_span = obs::dispatch_span_id(cells[index].cell_id, ctx.ordinal);
-    std::string frame_bytes = encoded[index];
-    if (Status patched = twinsvc::patch_trace_context(frame_bytes, ctx);
-        !patched.ok()) {
-      log::warn("campaign: trace-context patch failed: {}",
-                patched.error().to_string());
-    }
 
     const double rpc_start_wall = config.trace_sink != nullptr
                                       ? config.trace_sink->now_wall_ms()
                                       : 0.0;
     const auto rpc_start = Clock::now();
     Result<CellResult> outcome =
-        attempt_cell(socket, worker, frame_bytes, cells[index].cell_id,
-                     config.cell_timeout_ms);
+        attempt_cell(client, encoded[index], cells[index].cell_id, ctx);
     const double rpc_ms = std::chrono::duration<double, std::milli>(
                               Clock::now() - rpc_start)
                               .count();
     record_ms("campaign.rpc", rpc_ms);
     if (config.trace_sink != nullptr) {
-      // The dispatch span the worker's serve_cell span parents under: one
+      // The dispatch span the server's request span parents under: one
       // per attempt, success or not, so unanswered dispatches stay visible
       // in the merged timeline.
       std::vector<obs::TraceArg> args;
@@ -208,9 +166,9 @@ void dispatch_loop(CampaignState& state, const std::vector<CellRequest>& cells,
       continue;
     }
 
-    // Failed attempt: drop the connection (its stream state is unknown),
-    // requeue the cell, and back off before this endpoint tries again.
-    socket.close();
+    // Failed attempt (the client already dropped a connection whose stream
+    // state is unknown): requeue the cell and back off before this
+    // endpoint tries again.
     count("campaign.rpc_errors");
     log::warn("campaign: cell {} on {} failed: {}", cells[index].cell_id,
               worker.to_string(), outcome.error().to_string());
@@ -267,7 +225,9 @@ CampaignOutcome run_cells(const std::vector<CellRequest>& cells,
   CampaignState state(cells.size());
   std::vector<std::string> encoded;
   encoded.reserve(cells.size());
-  for (const CellRequest& cell : cells) encoded.push_back(encode_run_cell(cell));
+  for (const CellRequest& cell : cells) {
+    encoded.push_back(encode_run_cell_payload(cell));
+  }
 
   {
     std::vector<std::thread> dispatchers;

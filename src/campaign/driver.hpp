@@ -1,10 +1,12 @@
-// Campaign driver — fans cells across a twin_worker fleet and guarantees
-// every cell completes with a deterministic result.
+// Campaign driver — fans cells across a fleet of scheduler services (the
+// campaign plugin) and guarantees every cell completes with a
+// deterministic result.
 //
-// Dispatch model: one dispatcher thread per worker endpoint, all pulling
-// from a shared cell queue over a persistent connection (re-dialed after
-// any failure). A failed dispatch (connect error, deadline expiry, short
-// or corrupt frame, worker-reported error, abrupt close) requeues the
+// Dispatch model: one dispatcher thread per server endpoint, all pulling
+// from a shared cell queue through one twinsvc::Client each — a
+// persistent connection the client re-dials once its stream state is
+// unknown. A failed dispatch (connect error, deadline expiry, corrupt
+// frame, server-reported error, busy, abrupt close) requeues the
 // cell — bounded by `max_remote_attempts` total dispatches per cell, with
 // exponential backoff between a dispatcher's consecutive failures. A
 // dispatcher that fails `worker_failure_limit` times in a row retires (its
@@ -37,13 +39,13 @@
 namespace amjs::campaign {
 
 struct CampaignConfig {
-  /// Worker fleet; empty runs every cell in-process (the reference run
+  /// Server fleet; empty runs every cell in-process (the reference run
   /// distributed results are compared against).
   std::vector<twinsvc::Endpoint> workers;
 
-  /// Per-dispatch deadline covering connect + send + the result frame.
-  /// The driver never waits longer than this on any one attempt, so a
-  /// stalled worker costs one deadline, not a hang.
+  /// Per-dispatch deadline covering connect + send + the reply. The
+  /// driver never waits longer than this on any one attempt, so a stalled
+  /// server costs one deadline, not a hang.
   int cell_timeout_ms = 120000;
 
   /// Total remote dispatches allowed per cell before it is left to the
@@ -64,9 +66,9 @@ struct CampaignConfig {
   /// Structured kCampaign events land here (borrowed; null = off).
   obs::TraceSink* trace_sink = nullptr;
 
-  /// Trace-context run id stamped into every dispatched cell frame (0 =
-  /// not tracing distributedly); worker-side serve_cell spans carry it
-  /// back so trace_merge joins only this run's spans.
+  /// Trace-context run id stamped into every dispatched request (0 = not
+  /// tracing distributedly); server-side request spans carry it back so
+  /// trace_merge joins only this run's spans.
   std::uint64_t trace_run_id = 0;
 };
 
@@ -74,7 +76,7 @@ struct CampaignOutcome {
   /// One result per cell, cell-id order, always complete.
   std::vector<CellResult> cells;
 
-  std::size_t remote_cells = 0;     // served by a worker
+  std::size_t remote_cells = 0;     // served by a server
   std::size_t local_cells = 0;      // ran in-process (local path or sweep)
   std::size_t requeues = 0;         // failed dispatches that went back
   std::size_t duplicate_results = 0;
@@ -82,7 +84,7 @@ struct CampaignOutcome {
 };
 
 /// Run every cell of `spec` to completion. Fails only on an invalid spec
-/// (enumeration errors); worker failures degrade to local execution.
+/// (enumeration errors); server failures degrade to local execution.
 [[nodiscard]] Result<CampaignOutcome> run_campaign(
     const CampaignSpec& spec, const CampaignConfig& config = {});
 

@@ -2,6 +2,7 @@
 
 #include "snapshot_io/binio.hpp"
 #include "snapshot_io/snapshot_codec.hpp"
+#include "twinsvc/frame.hpp"
 #include "util/fmt.hpp"
 
 namespace amjs::campaign {
@@ -141,17 +142,9 @@ Result<FailureModel> read_failure_model(ByteReader& r) {
 
 }  // namespace
 
-std::string encode_run_cell(const CellRequest& cell) {
-  return twinsvc::seal_frame(twinsvc::FrameType::kRunCell,
-                             encode_run_cell_payload(cell));
-}
-
 std::string encode_run_cell_payload(const CellRequest& cell) {
   ByteWriter w;
   w.u64(cell.cell_id);
-  // Fixed-size context block at payload offset 8 — patchable in place per
-  // dispatch attempt (twinsvc::patch_trace_context), like kEvalRequest.
-  twinsvc::write_trace_context(w, cell.context);
   w.str(cell.policy_token);
   w.str(cell.policy_label);
   w.str(cell.workload_label);
@@ -177,9 +170,6 @@ Result<CellRequest> decode_run_cell(std::string_view payload) {
   auto cell_id = r.u64();
   if (!cell_id) return cell_id.error();
   cell.cell_id = cell_id.value();
-  auto context = twinsvc::read_trace_context(r);
-  if (!context) return context.error();
-  cell.context = context.value();
   auto policy_token = r.str();
   if (!policy_token) return policy_token.error();
   cell.policy_token = std::move(policy_token).value();
@@ -238,11 +228,6 @@ Result<CellRequest> decode_run_cell(std::string_view payload) {
     return policy.error();
   }
   return cell;
-}
-
-std::string encode_cell_result(const CellResult& result) {
-  return twinsvc::seal_frame(twinsvc::FrameType::kCellResult,
-                             encode_cell_result_payload(result));
 }
 
 std::string encode_cell_result_payload(const CellResult& result) {

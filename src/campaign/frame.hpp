@@ -1,44 +1,25 @@
-// campaign.v1 payload codecs — the kRunCell / kCellResult frame family.
+// campaign payload codecs — the bodies of the scheduler service's
+// campaign plugin: a CellRequest on the way in, a CellResult on the way
+// out (see DESIGN.md "Service").
 //
-// Campaign frames ride the twinsvc.v1 framing layer unchanged (same
-// "AMJSTWSV" magic, version, header, and trailing CRC; see
-// twinsvc/frame.hpp) — only the frame-type byte and the payload encoding
-// are new, so the socket layer, the corruption guarantees, and the worker
-// loop are shared with the twin service. Payloads use snapshot_io's
-// primitives: little-endian fixed-width integers, bit-cast doubles (what
-// makes a remote cell's SimResult bit-identical to a local run's), and
-// bounds-checked reads with reserve() capped by bytes actually received.
-//
-//   kRunCell     driver -> worker   one self-contained CellRequest
-//   kCellResult  worker -> driver   the cell's SimResult (+ optional
-//                                   fairness), canonically encoded
-//
-// Errors travel as the existing kError frame.
+// Payloads use snapshot_io's primitives: little-endian fixed-width
+// integers, bit-cast doubles (what makes a remote cell's SimResult
+// bit-identical to a local run's), and bounds-checked reads with
+// reserve() capped by bytes actually received.
 #pragma once
 
 #include <string>
 #include <string_view>
 
 #include "campaign/campaign.hpp"
-#include "twinsvc/frame.hpp"
 #include "util/result.hpp"
 
 namespace amjs::campaign {
 
-inline constexpr std::string_view kCampaignProtocolName = "campaign.v1";
-
-/// Complete sealed frames (header + payload + CRC), ready for send_frame.
-[[nodiscard]] std::string encode_run_cell(const CellRequest& cell);
-[[nodiscard]] std::string encode_cell_result(const CellResult& result);
-
-/// Bare payloads (no frame header/CRC) — what the scheduler service's
-/// campaign plugin nests inside an svc.v1 request/reply body. The sealed
-/// encoders above wrap exactly these bytes, so a nested cell decodes with
-/// the same decode_run_cell / decode_cell_result used on the wire.
 [[nodiscard]] std::string encode_run_cell_payload(const CellRequest& cell);
 [[nodiscard]] std::string encode_cell_result_payload(const CellResult& result);
 
-/// Payload decoders (the frame layer has already verified header + CRC).
+/// The envelope has already verified header + CRC.
 [[nodiscard]] Result<CellRequest> decode_run_cell(std::string_view payload);
 [[nodiscard]] Result<CellResult> decode_cell_result(std::string_view payload);
 

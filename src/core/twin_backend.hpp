@@ -8,11 +8,10 @@
 //
 // Two implementations exist:
 //   LocalTwinBackend  (here)          — wraps an in-process TwinEngine.
-//   RemoteTwinEngine  (src/twinsvc)   — ships specs to twin_worker
-//                                       processes over the twinsvc.v1
-//                                       protocol and falls back to a
-//                                       LocalTwinBackend when workers are
-//                                       unreachable.
+//   RemoteTwinEngine  (src/twinsvc)   — ships specs to sched_server
+//                                       processes (the eval plugin) and
+//                                       falls back to a LocalTwinBackend
+//                                       when servers are unreachable.
 //
 // WhatIfTuner consults through this interface only, so swapping the
 // backend never changes scheduling behaviour: every backend must return

@@ -25,7 +25,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"campaign.cells", MetricKind::kCounter,
      "cells enumerated for the campaign run"},
     {"campaign.dispatches", MetricKind::kCounter,
-     "cell dispatch attempts sent to workers (retries included)"},
+     "cell dispatch attempts sent to servers (retries included)"},
     {"campaign.duplicate_results", MetricKind::kCounter,
      "cell results discarded because the cell already completed"},
     {"campaign.exhausted_cells", MetricKind::kCounter,
@@ -33,23 +33,17 @@ constexpr CatalogEntry kCatalog[] = {
     {"campaign.local_cells", MetricKind::kCounter,
      "cells executed in the driver process"},
     {"campaign.remote_cells", MetricKind::kCounter,
-     "cells completed by a worker"},
+     "cells completed by a server"},
     {"campaign.requeues", MetricKind::kCounter,
      "cells put back on the queue after a failed dispatch"},
     {"campaign.retired_workers", MetricKind::kCounter,
-     "worker endpoints dropped after exceeding the failure limit"},
+     "server endpoints dropped after exceeding the failure limit"},
     {"campaign.rpc", MetricKind::kTimer,
      "wall time of one cell dispatch round trip"},
     {"campaign.rpc_errors", MetricKind::kCounter,
      "cell dispatch round trips that failed (dial, I/O, decode, deadline)"},
     {"campaign.run", MetricKind::kTimer,
      "wall time of the whole campaign run_cells call"},
-    {"campaign.worker.aborts", MetricKind::kCounter,
-     "worker-side cell requests aborted by fault injection"},
-    {"campaign.worker.cell", MetricKind::kTimer,
-     "worker-side wall time simulating one cell"},
-    {"campaign.worker.cells", MetricKind::kCounter,
-     "cells served by this worker"},
     {"core.permutations", MetricKind::kCounter,
      "window permutations scored by WindowAllocator"},
     {"core.search_nodes", MetricKind::kCounter,
@@ -61,7 +55,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"fairness.segments", MetricKind::kCounter,
      "fair-start probe segments run, each with its own full run (one per thread)"},
     {"fleet.poll", MetricKind::kTimer,
-     "wall time of one stats poll round trip to a worker"},
+     "wall time of one stats poll round trip to a server"},
     {"fleet.poll_errors", MetricKind::kCounter,
      "stats polls that failed (dial, I/O, decode)"},
     {"fleet.polls", MetricKind::kCounter,
@@ -76,10 +70,14 @@ constexpr CatalogEntry kCatalog[] = {
      "wall time capturing a SimSnapshot"},
     {"sim.snapshot_restore", MetricKind::kTimer,
      "wall time restoring a SimSnapshot"},
+    {"svc.aborts", MetricKind::kCounter,
+     "admitted requests dropped without a reply by fault injection"},
     {"svc.in_flight", MetricKind::kGauge,
      "scheduler-service requests executing right now"},
     {"svc.plugin.campaign", MetricKind::kCounter,
      "campaign-cell plugin requests served"},
+    {"svc.plugin.eval", MetricKind::kCounter,
+     "eval plugin requests served (remote twin consults)"},
     {"svc.plugin.reload", MetricKind::kCounter,
      "reload admin requests that hot-swapped the dataset"},
     {"svc.plugin.submit_job", MetricKind::kCounter,
@@ -119,7 +117,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"twinsvc.consults", MetricKind::kCounter,
      "what-if consults routed through RemoteTwinEngine"},
     {"twinsvc.dispatches", MetricKind::kCounter,
-     "eval request dispatch attempts sent to workers (retries included)"},
+     "eval request dispatch attempts sent to servers (retries included)"},
     {"twinsvc.fallback_candidates", MetricKind::kCounter,
      "candidates evaluated by the local fallback backend"},
     {"twinsvc.fallbacks", MetricKind::kCounter,
@@ -132,18 +130,6 @@ constexpr CatalogEntry kCatalog[] = {
      "wall time of one eval request round trip"},
     {"twinsvc.rpc_errors", MetricKind::kCounter,
      "eval round trips that failed (dial, I/O, decode, deadline)"},
-    {"twinsvc.worker.aborts", MetricKind::kCounter,
-     "worker-side requests aborted by fault injection"},
-    {"twinsvc.worker.eval", MetricKind::kTimer,
-     "worker-side wall time evaluating one eval request"},
-    {"twinsvc.worker.in_flight", MetricKind::kGauge,
-     "requests this worker is serving right now"},
-    {"twinsvc.worker.requests", MetricKind::kCounter,
-     "requests served by this worker (stats polls excluded)"},
-    {"twinsvc.worker.uptime_ms", MetricKind::kGauge,
-     "wall ms since worker start, stamped when a stats snapshot is taken"},
-    {"twinsvc.worker.verdicts", MetricKind::kCounter,
-     "verdict frames streamed back by this worker"},
 };
 
 // Driver-minted per-endpoint meta gauges that have no global entry of

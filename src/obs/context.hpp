@@ -2,12 +2,12 @@
 // "Distributed observability").
 //
 // A TraceContext names one dispatch attempt of one request inside one run:
-// the driver stamps it onto the wire frame (twinsvc/campaign carry a
-// fixed-size encoded block right after the payload's leading id), the
-// worker decodes it and tags every trace event it records while serving
-// that request. Driver-side dispatch spans carry the same ids, so the two
-// processes' JSONL traces join on (run_id, request_id, ordinal) with no
-// shared clock and no shared process state.
+// the driver stamps it onto the wire (every request envelope carries a
+// fixed-size encoded block right after the request id), the server
+// decodes it and tags the span it records while serving that request.
+// Driver-side dispatch spans carry the same ids, so the two processes'
+// JSONL traces join on (run_id, request_id, ordinal) with no shared clock
+// and no shared process state.
 //
 // The obs layer owns only the in-memory type and the JSONL arg vocabulary;
 // the wire encoding lives in twinsvc/frame (obs sits below snapshot_io in

@@ -1,5 +1,8 @@
 #include "platform/machine_spec.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/fmt.hpp"
 
 namespace amjs {
@@ -22,10 +25,44 @@ bool MachineSpec::valid() const {
   switch (kind) {
     case Kind::kFlat:
       return nodes > 0;
-    case Kind::kPartition:
-      return partition.leaf_nodes > 0 && partition.row_leaves > 0 &&
-             partition.rows > 0 &&
-             partition.row_leaves * partition.rows <= PartitionMachine::kMaxLeaves;
+    case Kind::kPartition: {
+      // Products in 64 bits and the node total checked against overflow:
+      // a wrapped product must never pass for a small machine.
+      const std::int64_t row_leaves = partition.row_leaves;
+      const std::int64_t leaves = row_leaves * partition.rows;
+      return partition.leaf_nodes > 0 && row_leaves > 0 &&
+             (row_leaves & (row_leaves - 1)) == 0 && partition.rows > 0 &&
+             leaves <= PartitionMachine::kMaxLeaves &&
+             partition.leaf_nodes <= std::numeric_limits<NodeCount>::max() / leaves;
+    }
+  }
+  return false;
+}
+
+bool MachineSpec::accepts(const MachineState& state) const {
+  if (!valid()) return false;
+  switch (kind) {
+    case Kind::kFlat: {
+      const auto* flat = dynamic_cast<const FlatMachineState*>(&state);
+      return flat != nullptr && flat->total == nodes &&
+             std::ranges::all_of(flat->allocs, [](const auto& entry) {
+               return entry.first == entry.second.job;
+             });
+    }
+    case Kind::kPartition: {
+      const auto* part = dynamic_cast<const PartitionMachineState*>(&state);
+      if (part == nullptr || part->config.leaf_nodes != partition.leaf_nodes ||
+          part->config.row_leaves != partition.row_leaves ||
+          part->config.rows != partition.rows) {
+        return false;
+      }
+      const auto count =
+          static_cast<int>(PartitionMachine(partition).partitions().size());
+      return std::ranges::all_of(part->allocs, [count](const auto& entry) {
+        return entry.first == entry.second.alloc.job &&
+               entry.second.partition >= 0 && entry.second.partition < count;
+      });
+    }
   }
   return false;
 }

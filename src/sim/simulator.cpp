@@ -6,7 +6,9 @@
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "platform/machine_spec.hpp"
 #include "sim/snapshot.hpp"
+#include "util/fmt.hpp"
 #include "util/log.hpp"
 
 namespace amjs {
@@ -94,6 +96,55 @@ void truncate_snapshot(SimSnapshot& snapshot, std::size_t kept) {
   snapshot.attempt_start.resize(kept);
   snapshot.result.schedule.resize(kept);
   snapshot.unfinished -= later;
+}
+
+Status check_resumable(const JobTrace& trace, const SimSnapshot& snapshot,
+                       const MachineSpec& machine) {
+  if (!snapshot.valid() || !machine.accepts(*snapshot.machine)) {
+    return Error{format("snapshot machine state does not fit {}", machine.label())};
+  }
+  const std::size_t n = trace.size();
+  if (snapshot.states.size() != n || snapshot.attempts.size() != n ||
+      snapshot.failure_pending.size() != n ||
+      snapshot.attempt_start.size() != n || snapshot.result.schedule.size() != n) {
+    return Error{format("snapshot holds {} jobs, the trace {}",
+                        snapshot.states.size(), n)};
+  }
+  const auto in_state = [&](JobId id, SimJobState state) {
+    return id >= 0 && static_cast<std::size_t>(id) < n &&
+           snapshot.states[static_cast<std::size_t>(id)] == state;
+  };
+  // The state a job must be in differs per list, so one flag per job
+  // catches a repeat within a list and an overlap between lists alike.
+  std::vector<bool> named(n, false);
+  const auto name_once = [&](JobId id, SimJobState state) {
+    if (!in_state(id, state) || named[static_cast<std::size_t>(id)]) return false;
+    named[static_cast<std::size_t>(id)] = true;
+    return true;
+  };
+  bool consistent = std::ranges::all_of(
+      snapshot.queue, [&](JobId id) { return name_once(id, SimJobState::kQueued); });
+  std::size_t ends = 0;
+  for (const Event& event : snapshot.events.sorted()) {
+    if (event.type == EventType::kMetricCheck) continue;
+    const bool end = event.type == EventType::kJobEnd;
+    ends += end ? 1 : 0;
+    consistent = consistent &&
+                 name_once(event.job, end ? SimJobState::kRunning : SimJobState::kPending);
+  }
+  const auto restored = machine.make();
+  restored->restore_state(*snapshot.machine);
+  const std::vector<RunningAlloc> allocs = restored->running();
+  const auto running = static_cast<std::size_t>(
+      std::ranges::count(snapshot.states, SimJobState::kRunning));
+  consistent = consistent && ends == running && allocs.size() == running &&
+               std::ranges::all_of(allocs, [&](const RunningAlloc& alloc) {
+                 return in_state(alloc.job, SimJobState::kRunning);
+               });
+  if (!consistent) {
+    return Error{"snapshot queue, events and allocations disagree with its job states"};
+  }
+  return {};
 }
 
 void Scheduler::on_metric_check(SchedContext& /*ctx*/, double /*queue_depth_minutes*/) {}

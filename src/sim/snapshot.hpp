@@ -35,8 +35,11 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "util/result.hpp"
 
 namespace amjs {
+
+struct MachineSpec;
 
 /// Where in its instant a snapshot was taken (see the contract above).
 enum class SnapshotPoint : std::uint8_t {
@@ -96,5 +99,16 @@ struct SimSnapshot {
 /// against the truncated trace continues that run exactly, provided the
 /// policy's decisions so far did not depend on the later jobs.
 void truncate_snapshot(SimSnapshot& snapshot, std::size_t kept);
+
+/// Whether Simulator::resume may take `snapshot` against `trace` on a
+/// machine built from `machine`: a snapshot that arrived over the wire is
+/// checked here, not left to resume's debug-only asserts. It must be of
+/// that machine's model and topology and hold one slot per trace job; its
+/// queue, submit events and end events must each name distinct jobs in
+/// the queued, pending and running states; and the machine's allocations
+/// must be exactly the running jobs'.
+[[nodiscard]] Status check_resumable(const JobTrace& trace,
+                                     const SimSnapshot& snapshot,
+                                     const MachineSpec& machine);
 
 }  // namespace amjs

@@ -34,6 +34,7 @@ class ByteWriter {
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(std::string_view s);
   void bytes(std::string_view s) { out_.append(s); }
+  void reserve(std::size_t n) { out_.reserve(n); }
 
   [[nodiscard]] const std::string& data() const { return out_; }
   [[nodiscard]] std::string take() { return std::move(out_); }

@@ -3,77 +3,8 @@
 #include <utility>
 
 #include "campaign/frame.hpp"
-#include "util/fmt.hpp"
-#include "util/strings.hpp"
 
 namespace amjs::svc {
-namespace {
-
-constexpr std::string_view kBusyMarker = "server busy (kSvcBusy)";
-
-}  // namespace
-
-SvcClient::SvcClient(ClientConfig config) : config_(std::move(config)) {}
-
-bool SvcClient::is_busy(const Error& error) {
-  return error.to_string().find(kBusyMarker) != std::string::npos;
-}
-
-Status SvcClient::ensure_connected() {
-  if (socket_.valid()) return Status::success();
-  auto socket = twinsvc::dial(config_.endpoint, config_.timeout_ms);
-  if (!socket) return socket.error();
-  socket_ = std::move(socket).value();
-  return Status::success();
-}
-
-Result<SvcReply> SvcClient::call(Plugin plugin, std::string body) {
-  if (Status connected = ensure_connected(); !connected.ok()) {
-    return connected.error();
-  }
-  SvcRequest request;
-  request.request_id = next_request_id_++;
-  request.plugin = static_cast<std::uint32_t>(plugin);
-  request.deadline_ms = config_.deadline_ms;
-  request.body = std::move(body);
-  if (Status sent = twinsvc::send_frame(socket_, encode_svc_request(request),
-                                        config_.timeout_ms);
-      !sent.ok()) {
-    socket_.close();  // stale connection; next call re-dials
-    return sent.error();
-  }
-  auto frame = twinsvc::recv_frame(socket_, config_.timeout_ms);
-  if (!frame) {
-    socket_.close();
-    return frame.error();
-  }
-  switch (frame.value().type) {
-    case twinsvc::FrameType::kSvcReply: {
-      auto reply = decode_svc_reply(frame.value().payload);
-      if (!reply) return reply.error();
-      if (reply.value().request_id != request.request_id) {
-        return Error{format("reply for request {} arrived on request {}",
-                            reply.value().request_id, request.request_id)};
-      }
-      last_world_version_ = reply.value().world_version;
-      return reply;
-    }
-    case twinsvc::FrameType::kSvcBusy: {
-      auto shed = decode_svc_busy(frame.value().payload);
-      if (!shed) return shed.error();
-      return Error{format("{} for request {}", kBusyMarker, shed.value())};
-    }
-    case twinsvc::FrameType::kError: {
-      auto error = twinsvc::decode_error(frame.value().payload);
-      if (!error) return error.error();
-      return Error{error.value().message};
-    }
-    default:
-      socket_.close();
-      return Error{format("unexpected reply frame type {}",
-                          static_cast<int>(frame.value().type))};
-  }
-}
 
 Result<StartProjection> SvcClient::submit_job(const Job& job) {
   auto reply = call(Plugin::kSubmitJob, encode_submit_job(job));
@@ -108,28 +39,6 @@ Result<ReloadAck> SvcClient::reload(const DatasetSpec& spec) {
   auto reply = call(Plugin::kReload, encode_dataset_spec(spec));
   if (!reply) return reply.error();
   return decode_reload_ack(reply.value().body);
-}
-
-Result<obs::StatsSnapshot> SvcClient::stats() {
-  if (Status connected = ensure_connected(); !connected.ok()) {
-    return connected.error();
-  }
-  if (Status sent = twinsvc::send_frame(
-          socket_, twinsvc::encode_stats_request(), config_.timeout_ms);
-      !sent.ok()) {
-    socket_.close();
-    return sent.error();
-  }
-  auto frame = twinsvc::recv_frame(socket_, config_.timeout_ms);
-  if (!frame) {
-    socket_.close();
-    return frame.error();
-  }
-  if (frame.value().type != twinsvc::FrameType::kStatsReply) {
-    return Error{format("unexpected reply frame type {}",
-                        static_cast<int>(frame.value().type))};
-  }
-  return twinsvc::decode_stats_reply(frame.value().payload);
 }
 
 }  // namespace amjs::svc

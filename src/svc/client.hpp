@@ -1,49 +1,29 @@
-// SvcClient — the client side of the scheduler service.
+// SvcClient — typed plugin calls on the scheduler service.
 //
-// One client holds one connection (re-dialed transparently after a
-// drop) and issues typed plugin calls over it: each call sends one
-// kSvcRequest and reads exactly one reply frame. Replies map onto
-// Result:
-//
-//   kSvcReply   -> the decoded plugin result (world_version recorded,
-//                  see last_world_version())
-//   kSvcBusy    -> an Error naming "busy" (is_busy() classifies it)
-//   kError      -> the server's message, verbatim
-//
-// The client never retries: the service is a query frontend, and the
-// caller decides whether busy/deadline outcomes are worth re-asking.
+// The round trip itself (one connection, one envelope out, one reply in,
+// busy/error mapping, re-dial after a broken stream) is twinsvc::Client,
+// the one client loop every caller shares; SvcClient adds a typed wrapper
+// per plugin that encodes the body and decodes the reply.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 #include "core/twin_backend.hpp"
-#include "obs/registry.hpp"
 #include "svc/facade.hpp"
 #include "svc/frame.hpp"
-#include "twinsvc/socket.hpp"
+#include "twinsvc/client.hpp"
 #include "util/result.hpp"
 #include "workload/job.hpp"
 
 namespace amjs::svc {
 
-struct ClientConfig {
-  twinsvc::Endpoint endpoint;
-  /// Per-socket-operation timeout, and the dial budget.
-  int timeout_ms = 30000;
-  /// Deadline budget stamped into every request (0 = none; negative
-  /// requests are rejected by the server without executing).
-  std::int64_t deadline_ms = 0;
-};
+using ClientConfig = twinsvc::ClientConfig;
 
-class SvcClient {
+class SvcClient : public twinsvc::Client {
  public:
-  explicit SvcClient(ClientConfig config);
-
-  /// True when `error` is the kSvcBusy outcome of a call.
-  [[nodiscard]] static bool is_busy(const Error& error);
+  using Client::Client;
 
   [[nodiscard]] Result<StartProjection> submit_job(const Job& job);
   [[nodiscard]] Result<std::vector<TwinForkResult>> what_if(
@@ -54,25 +34,6 @@ class SvcClient {
   [[nodiscard]] Result<campaign::CellResult> run_cell(
       const campaign::CellRequest& cell);
   [[nodiscard]] Result<ReloadAck> reload(const DatasetSpec& spec);
-
-  /// Out-of-band registry poll (kStatsRequest), no admission involved.
-  [[nodiscard]] Result<obs::StatsSnapshot> stats();
-
-  /// Low-level round trip: one request frame out, one reply frame in.
-  [[nodiscard]] Result<SvcReply> call(Plugin plugin, std::string body);
-
-  /// World version stamped on the most recent successful reply.
-  [[nodiscard]] std::uint64_t last_world_version() const {
-    return last_world_version_;
-  }
-
- private:
-  [[nodiscard]] Status ensure_connected();
-
-  ClientConfig config_;
-  twinsvc::Socket socket_;
-  std::uint64_t next_request_id_ = 1;
-  std::uint64_t last_world_version_ = 0;
 };
 
 }  // namespace amjs::svc

@@ -10,141 +10,25 @@ namespace amjs::svc {
 using snapshot_io::ByteReader;
 using snapshot_io::ByteWriter;
 
-const char* to_string(Plugin plugin) {
-  switch (plugin) {
-    case Plugin::kSubmitJob: return "submit_job";
-    case Plugin::kWhatIf: return "what_if";
-    case Plugin::kTraceExplain: return "trace_explain";
-    case Plugin::kCampaign: return "campaign";
-    case Plugin::kReload: return "reload";
-  }
-  return "?";
-}
-
-std::string encode_svc_request(const SvcRequest& request) {
-  ByteWriter w;
-  w.u64(request.request_id);
-  w.u32(request.plugin);
-  w.i64(request.deadline_ms);
-  w.str(request.body);
-  return twinsvc::seal_frame(twinsvc::FrameType::kSvcRequest, w.data());
-}
-
-std::string encode_svc_reply(const SvcReply& reply) {
-  ByteWriter w;
-  w.u64(reply.request_id);
-  w.u32(reply.plugin);
-  w.u64(reply.world_version);
-  w.str(reply.body);
-  return twinsvc::seal_frame(twinsvc::FrameType::kSvcReply, w.data());
-}
-
-std::string encode_svc_busy(std::uint64_t request_id) {
-  ByteWriter w;
-  w.u64(request_id);
-  return twinsvc::seal_frame(twinsvc::FrameType::kSvcBusy, w.data());
-}
-
-Result<SvcRequest> decode_svc_request(std::string_view payload) {
-  ByteReader r(payload);
-  SvcRequest request;
-  auto request_id = r.u64();
-  if (!request_id) return request_id.error();
-  request.request_id = request_id.value();
-  auto plugin = r.u32();
-  if (!plugin) return plugin.error();
-  request.plugin = plugin.value();
-  auto deadline = r.i64();
-  if (!deadline) return deadline.error();
-  request.deadline_ms = deadline.value();
-  auto body = r.str();
-  if (!body) return body.error();
-  request.body = std::move(body).value();
-  if (!r.exhausted()) {
-    return Error{format("{} trailing bytes after svc request payload",
-                        r.remaining())};
-  }
-  return request;
-}
-
-Result<SvcReply> decode_svc_reply(std::string_view payload) {
-  ByteReader r(payload);
-  SvcReply reply;
-  auto request_id = r.u64();
-  if (!request_id) return request_id.error();
-  reply.request_id = request_id.value();
-  auto plugin = r.u32();
-  if (!plugin) return plugin.error();
-  reply.plugin = plugin.value();
-  auto world_version = r.u64();
-  if (!world_version) return world_version.error();
-  reply.world_version = world_version.value();
-  auto body = r.str();
-  if (!body) return body.error();
-  reply.body = std::move(body).value();
-  if (!r.exhausted()) {
-    return Error{format("{} trailing bytes after svc reply payload",
-                        r.remaining())};
-  }
-  return reply;
-}
-
-Result<std::uint64_t> decode_svc_busy(std::string_view payload) {
-  ByteReader r(payload);
-  auto request_id = r.u64();
-  if (!request_id) return request_id.error();
-  if (!r.exhausted()) {
-    return Error{format("{} trailing bytes after svc busy payload",
-                        r.remaining())};
-  }
-  return request_id.value();
-}
-
 // --- Plugin bodies. ----------------------------------------------------
 
 std::string encode_submit_job(const Job& job) {
   ByteWriter w;
-  w.i64(job.id);
-  w.i64(job.submit);
-  w.i64(job.runtime);
-  w.i64(job.walltime);
-  w.i64(job.nodes);
-  w.str(job.user);
-  w.i64(job.queue);
+  twinsvc::write_job(w, job);
   return std::move(w).take();
 }
 
 Result<Job> decode_submit_job(std::string_view body) {
   ByteReader r(body);
-  Job job;
-  auto id = r.i64();
-  if (!id) return id.error();
-  job.id = static_cast<JobId>(id.value());
-  auto submit = r.i64();
-  if (!submit) return submit.error();
-  job.submit = submit.value();
-  auto runtime = r.i64();
-  if (!runtime) return runtime.error();
-  job.runtime = runtime.value();
-  auto walltime = r.i64();
-  if (!walltime) return walltime.error();
-  job.walltime = walltime.value();
-  auto nodes = r.i64();
-  if (!nodes) return nodes.error();
-  job.nodes = static_cast<NodeCount>(nodes.value());
-  auto user = r.str();
-  if (!user) return user.error();
-  job.user = std::move(user).value();
-  auto queue = r.i64();
-  if (!queue) return queue.error();
-  job.queue = static_cast<int>(queue.value());
+  auto job = twinsvc::read_job(r);
+  if (!job) return job.error();
   if (!r.exhausted()) {
     return Error{format("{} trailing bytes after submit-job body",
                         r.remaining())};
   }
-  if (job.walltime <= 0 || job.nodes <= 0) {
+  if (job.value().walltime <= 0 || job.value().nodes <= 0) {
     return Error{format("submit-job {}: walltime and nodes must be positive",
-                        job.id)};
+                        job.value().id)};
   }
   return job;
 }
@@ -175,55 +59,20 @@ Result<StartProjection> decode_start_projection(std::string_view body) {
 std::string encode_candidates(
     const std::vector<TwinCandidateSpec>& candidates) {
   ByteWriter w;
-  w.u64(candidates.size());
-  for (const auto& spec : candidates) twinsvc::write_candidate_spec(w, spec);
+  twinsvc::write_candidates(w, candidates);
   return std::move(w).take();
 }
 
 Result<std::vector<TwinCandidateSpec>> decode_candidates(
     std::string_view body) {
   ByteReader r(body);
-  auto count = r.count(r.remaining() / twinsvc::kMinEncodedCandidateBytes);
-  if (!count) return count.error();
-  std::vector<TwinCandidateSpec> candidates;
-  candidates.reserve(count.value());
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto spec = twinsvc::read_candidate_spec(r);
-    if (!spec) return spec.error();
-    candidates.push_back(std::move(spec).value());
-  }
+  auto candidates = twinsvc::read_candidates(r);
+  if (!candidates) return candidates.error();
   if (!r.exhausted()) {
     return Error{format("{} trailing bytes after candidate batch",
                         r.remaining())};
   }
   return candidates;
-}
-
-std::string encode_verdicts(const std::vector<TwinForkResult>& verdicts) {
-  ByteWriter w;
-  w.u64(verdicts.size());
-  for (const auto& verdict : verdicts) twinsvc::write_fork_result(w, verdict);
-  return std::move(w).take();
-}
-
-Result<std::vector<TwinForkResult>> decode_verdicts(std::string_view body) {
-  ByteReader r(body);
-  // Smallest encoded fork result: label length prefix + 4 doubles + u64.
-  constexpr std::uint64_t kMinEncodedVerdictBytes = 8 + 4 * 8 + 8;
-  auto count = r.count(r.remaining() / kMinEncodedVerdictBytes);
-  if (!count) return count.error();
-  std::vector<TwinForkResult> verdicts;
-  verdicts.reserve(count.value());
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto verdict = twinsvc::read_fork_result(r);
-    if (!verdict) return verdict.error();
-    verdicts.push_back(std::move(verdict).value());
-  }
-  if (!r.exhausted()) {
-    return Error{format("{} trailing bytes after verdict batch",
-                        r.remaining())};
-  }
-  return verdicts;
 }
 
 std::string encode_trace_pair(const TracePair& pair) {

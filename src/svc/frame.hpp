@@ -1,29 +1,12 @@
-// svc.v1 payload codecs — the scheduler service's kSvcRequest /
-// kSvcReply / kSvcBusy frame family.
+// Plugin body codecs of the scheduler service (see DESIGN.md "Service").
 //
-// svc frames ride the twinsvc.v1 framing layer unchanged (same
-// "AMJSTWSV" magic, version, 21-byte header, trailing CRC; see
-// twinsvc/frame.hpp), so the socket layer, corruption guarantees, and
-// acceptor loop are shared with the twin worker. A request names a
-// plugin and carries an opaque, length-prefixed body the plugin decodes;
-// the reply echoes the request id and plugin and stamps the world
-// version it was served against:
-//
-//   kSvcRequest payload:  u64 request_id | u32 plugin | i64 deadline_ms
-//                         | str body
-//   kSvcReply payload:    u64 request_id | u32 plugin | u64 world_version
-//                         | str body
-//   kSvcBusy payload:     u64 request_id
-//
-// deadline_ms is the client's remaining budget at send time: 0 means no
-// deadline, a negative value is already expired (the server rejects it
-// without executing — mirroring the socket layer's non-positive-budget
-// rule). Errors travel as the existing kError frame.
-//
-// Plugin bodies reuse the shared twinsvc field codecs (candidate specs,
-// fork results) and campaign payload codecs, so a service reply is
-// byte-identical to the equivalent locally-encoded result — the property
-// the conformance suite in tests/svc pins.
+// The envelope (twinsvc/frame.hpp) names a plugin and carries an opaque,
+// length-prefixed body; this header encodes the bodies of the plugins
+// the service owns. They reuse the shared twinsvc field codecs (jobs,
+// candidate specs, fork results, machine specs) and the campaign payload
+// codecs, so a service reply is byte-identical to the equivalent
+// locally-encoded result — the property the conformance suite in
+// tests/svc pins.
 #pragma once
 
 #include <cstdint>
@@ -40,47 +23,20 @@
 
 namespace amjs::svc {
 
-inline constexpr std::string_view kSvcProtocolName = "svc.v1";
-
-/// Request plugins. The id travels as a raw u32 so an unknown id decodes
-/// cleanly and is rejected at dispatch (svc.rejected.plugin), not as a
-/// frame error.
-enum class Plugin : std::uint32_t {
-  kSubmitJob = 1,     // projected start/wait from the calendar plan
-  kWhatIf = 2,        // twin consult against the resident snapshot
-  kTraceExplain = 3,  // run-diff of two JSONL traces
-  kCampaign = 4,      // one campaign cell, delegated to run_cell
-  kReload = 100,      // admin: hot-swap the resident dataset
-};
-
-[[nodiscard]] const char* to_string(Plugin plugin);
-
-struct SvcRequest {
-  std::uint64_t request_id = 0;
-  /// Raw plugin id (may name no known plugin — the server decides).
-  std::uint32_t plugin = 0;
-  /// Remaining client budget in ms: 0 = none, negative = already expired.
-  std::int64_t deadline_ms = 0;
-  std::string body;
-};
-
-struct SvcReply {
-  std::uint64_t request_id = 0;
-  std::uint32_t plugin = 0;
-  /// Version of the World the request was served against.
-  std::uint64_t world_version = 0;
-  std::string body;
-};
-
-// --- Frame encode/decode (sealed frames ready for send_frame). ---------
-
-[[nodiscard]] std::string encode_svc_request(const SvcRequest& request);
-[[nodiscard]] std::string encode_svc_reply(const SvcReply& reply);
-[[nodiscard]] std::string encode_svc_busy(std::uint64_t request_id);
-
-[[nodiscard]] Result<SvcRequest> decode_svc_request(std::string_view payload);
-[[nodiscard]] Result<SvcReply> decode_svc_reply(std::string_view payload);
-[[nodiscard]] Result<std::uint64_t> decode_svc_busy(std::string_view payload);
+// The envelope, plugin ids and verdict batches live in twinsvc, below the
+// campaign driver and RemoteTwinEngine that send them too.
+using twinsvc::decode_svc_busy;
+using twinsvc::decode_svc_reply;
+using twinsvc::decode_svc_request;
+using twinsvc::decode_verdicts;
+using twinsvc::encode_svc_busy;
+using twinsvc::encode_svc_reply;
+using twinsvc::encode_svc_request;
+using twinsvc::encode_verdicts;
+using twinsvc::Plugin;
+using twinsvc::SvcReply;
+using twinsvc::SvcRequest;
+using twinsvc::to_string;
 
 // --- Plugin bodies. ----------------------------------------------------
 
@@ -99,13 +55,11 @@ struct SvcReply {
 [[nodiscard]] Result<std::vector<TwinCandidateSpec>> decode_candidates(
     std::string_view body);
 
-/// kWhatIf reply: one verdict per candidate, in order. The server zeroes
-/// wall_ms (the one nondeterministic field) before encoding, so the body
-/// is byte-identical to a locally-encoded LocalTwinBackend result.
-[[nodiscard]] std::string encode_verdicts(
-    const std::vector<TwinForkResult>& verdicts);
-[[nodiscard]] Result<std::vector<TwinForkResult>> decode_verdicts(
-    std::string_view body);
+// kWhatIf and kEval replies are verdict batches (twinsvc encode_verdicts).
+// The what-if plugin zeroes wall_ms (the one nondeterministic field), so
+// its body is byte-identical to a locally-encoded LocalTwinBackend
+// result; the eval plugin keeps it, because WhatIfTuner sums it into
+// twin_wall_ms. The kEval request body is twinsvc::EvalRequest.
 
 /// kTraceExplain request: the two wall-stripped JSONL traces to diff.
 struct TracePair {
@@ -116,7 +70,7 @@ struct TracePair {
 [[nodiscard]] Result<TracePair> decode_trace_pair(std::string_view body);
 // (The reply body is the deterministic diff-report JSON, carried as-is.)
 
-// kCampaign bodies are the bare campaign.v1 payloads —
+// kCampaign bodies are the campaign payloads —
 // campaign::encode_run_cell_payload / decode_run_cell on the way in,
 // encode_cell_result_payload / decode_cell_result on the way out.
 

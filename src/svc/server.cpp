@@ -9,6 +9,7 @@
 #include "campaign/campaign.hpp"
 #include "campaign/frame.hpp"
 #include "core/twin_backend.hpp"
+#include "obs/context.hpp"
 #include "obs/registry.hpp"
 #include "util/fmt.hpp"
 #include "util/log.hpp"
@@ -29,6 +30,7 @@ using twinsvc::Socket;
     case Plugin::kWhatIf:
     case Plugin::kTraceExplain:
     case Plugin::kCampaign:
+    case Plugin::kEval:
     case Plugin::kReload:
       return true;
   }
@@ -41,9 +43,31 @@ using twinsvc::Socket;
     case Plugin::kWhatIf: return "svc.plugin.what_if";
     case Plugin::kTraceExplain: return "svc.plugin.trace_explain";
     case Plugin::kCampaign: return "svc.plugin.campaign";
+    case Plugin::kEval: return "svc.plugin.eval";
     case Plugin::kReload: return "svc.plugin.reload";
   }
   return "svc.plugin.unknown";
+}
+
+/// A request's span joins its caller's "rpc" span in trace_merge, which
+/// matches on category: twin consults and campaign cells keep the
+/// category of the client that dispatched them.
+[[nodiscard]] obs::TraceCategory span_category(Plugin plugin) {
+  switch (plugin) {
+    case Plugin::kEval: return obs::TraceCategory::kTwin;
+    case Plugin::kCampaign: return obs::TraceCategory::kCampaign;
+    default: return obs::TraceCategory::kSvc;
+  }
+}
+
+/// The fork path the what-if and eval plugins share.
+[[nodiscard]] Result<std::vector<TwinForkResult>> evaluate_forks(
+    const MachineSpec& machine, TwinConfig twin, unsigned threads,
+    const JobTrace& trace, const SimSnapshot& snapshot,
+    const std::vector<TwinCandidateSpec>& candidates) {
+  twin.threads = threads;
+  LocalTwinBackend backend(machine.factory(), twin);
+  return backend.evaluate(trace, snapshot, candidates);
 }
 
 }  // namespace
@@ -165,8 +189,8 @@ void SchedServer::serve_connection(Socket socket) {
 }
 
 bool SchedServer::serve_stats_request(Socket& socket) {
-  // Out-of-band telemetry, exactly like the twin worker's: no counters,
-  // no admission, so a stats poll never perturbs what it measures.
+  // Out-of-band telemetry: no counters, no admission, no fault ordinal,
+  // so a stats poll never perturbs what it measures.
   if (obs::Registry::enabled()) {
     auto& registry = obs::Registry::global();
     registry.gauge("svc.in_flight").set(gate_.in_flight());
@@ -186,6 +210,7 @@ bool SchedServer::serve_stats_request(Socket& socket) {
 }
 
 bool SchedServer::serve_request(Socket& socket, const Frame& frame) {
+  const auto received = std::chrono::steady_clock::now();
   if (frame.type == FrameType::kStatsRequest) {
     return serve_stats_request(socket);
   }
@@ -194,8 +219,8 @@ bool SchedServer::serve_request(Socket& socket, const Frame& frame) {
     (void)send_frame(
         socket,
         encode_error(ErrorFrame{
-            0, format("unexpected frame type {} (scheduler service takes "
-                      "svc requests)",
+            0, format("unexpected frame type {} (the server takes svc "
+                      "requests and stats polls)",
                       static_cast<int>(frame.type))}),
         config_.io_timeout_ms);
     return false;
@@ -272,9 +297,22 @@ bool SchedServer::serve_request(Socket& socket, const Frame& frame) {
   } gate_guard{gate_};
 
   bump("svc.requests");
-  if (config_.faults.stall_ms > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(config_.faults.stall_ms));
+  // Fault injection counts admitted plugin requests only: stats polls and
+  // rejections never reach this point.
+  const std::int64_t ordinal =
+      request_ordinal_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const ServerFaults& faults = config_.faults;
+  if (faults.stall_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(faults.stall_ms));
+  }
+  if (ordinal <= faults.fail_first ||
+      (faults.fail_after >= 0 && ordinal > faults.fail_after)) {
+    // Crash before replying: the client sees an abrupt close after a
+    // complete request, the canonical retry/requeue trigger.
+    bump("svc.aborts");
+    log::warn("sched_server: fault injection aborting request {} (ordinal {})",
+              request.request_id, ordinal);
+    return false;
   }
 
   const double span_start_wall = config_.trace_sink != nullptr
@@ -289,16 +327,25 @@ bool SchedServer::serve_request(Socket& socket, const Frame& frame) {
     outcome = execute(request);
   }
 
+  const auto plugin = static_cast<Plugin>(request.plugin);
+  if (outcome.ok()) bump(plugin_counter(plugin));
   if (config_.trace_sink != nullptr) {
-    const double span_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - exec_start)
-                               .count();
+    // Queue time (decode, admission wait, injected stall) and the
+    // execution span let trace_merge estimate the wire cost of the
+    // caller's round trip.
+    const auto now = std::chrono::steady_clock::now();
+    std::vector<obs::TraceArg> args;
+    obs::append_context_args(args, request.context);
+    args.push_back(obs::arg("request_id", request.request_id));
+    args.push_back(obs::arg("plugin", to_string(plugin)));
+    args.push_back(obs::arg("ok", outcome.ok() ? 1 : 0));
+    args.push_back(obs::arg(
+        "queue_ms",
+        std::chrono::duration<double, std::milli>(exec_start - received).count()));
     config_.trace_sink->record_span(
-        obs::TraceCategory::kSvc, "request", /*sim_time=*/0, span_start_wall,
-        span_ms,
-        {obs::arg("request_id", request.request_id),
-         obs::arg("plugin", to_string(static_cast<Plugin>(request.plugin))),
-         obs::arg("ok", outcome.ok() ? 1 : 0)});
+        span_category(plugin), "request", /*sim_time=*/0, span_start_wall,
+        std::chrono::duration<double, std::milli>(now - exec_start).count(),
+        std::move(args));
   }
 
   if (!outcome) {
@@ -315,8 +362,12 @@ bool SchedServer::serve_request(Socket& socket, const Frame& frame) {
   reply.plugin = request.plugin;
   reply.world_version = outcome.value().world_version;
   reply.body = std::move(outcome.value().body);
-  if (Status sent = send_frame(socket, encode_svc_reply(reply),
-                               config_.io_timeout_ms);
+  std::string reply_bytes = encode_svc_reply(reply);
+  if (faults.garbage) {
+    // Flip one CRC byte so the frame fails validation at the client.
+    reply_bytes.back() = static_cast<char>(reply_bytes.back() ^ 0x5a);
+  }
+  if (Status sent = send_frame(socket, reply_bytes, config_.io_timeout_ms);
       !sent.ok()) {
     log::warn("sched_server: send reply failed: {}", sent.error().to_string());
     return false;
@@ -339,26 +390,33 @@ Result<SchedServer::ExecOutcome> SchedServer::execute(
       if (!job) return job.error();
       auto projection = world->project_start(job.value());
       if (!projection) return projection.error();
-      bump("svc.plugin.submit_job");
       out.body = encode_start_projection(projection.value());
       return out;
     }
     case Plugin::kWhatIf: {
       auto candidates = decode_candidates(request.body);
       if (!candidates) return candidates.error();
-      TwinConfig twin = world->dataset().twin;
-      twin.threads = config_.threads;
-      LocalTwinBackend backend(world->dataset().machine.factory(), twin);
-      auto verdicts = backend.evaluate(world->dataset().trace,
-                                       world->dataset().snapshot,
-                                       candidates.value());
+      const Dataset& data = world->dataset();
+      auto verdicts =
+          evaluate_forks(data.machine, data.twin, config_.threads, data.trace,
+                         data.snapshot, candidates.value());
       if (!verdicts) return verdicts.error();
       std::vector<TwinForkResult> results = std::move(verdicts).value();
       // wall_ms is the one nondeterministic field; zero it so the reply
       // is byte-identical to a locally-encoded in-process consult.
       for (TwinForkResult& result : results) result.wall_ms = 0.0;
-      bump(plugin_counter(Plugin::kWhatIf));
       out.body = encode_verdicts(results);
+      return out;
+    }
+    case Plugin::kEval: {
+      auto eval = twinsvc::decode_eval_request(request.body);
+      if (!eval) return eval.error();
+      const twinsvc::EvalRequest& e = eval.value();
+      auto verdicts = evaluate_forks(e.machine, e.twin, config_.threads,
+                                     e.trace, e.snapshot, e.candidates);
+      if (!verdicts) return verdicts.error();
+      // wall_ms stays: the tuner sums it into twin_wall_ms.
+      out.body = encode_verdicts(verdicts.value());
       return out;
     }
     case Plugin::kTraceExplain: {
@@ -370,7 +428,6 @@ Result<SchedServer::ExecOutcome> SchedServer::execute(
       if (!report) return report.error();
       std::ostringstream json;
       analysis::write_diff_json(json, report.value());
-      bump(plugin_counter(Plugin::kTraceExplain));
       out.body = json.str();
       return out;
     }
@@ -379,7 +436,6 @@ Result<SchedServer::ExecOutcome> SchedServer::execute(
       if (!cell) return cell.error();
       campaign::CellResult result = campaign::run_cell(cell.value());
       result.wall_ms = 0;
-      bump(plugin_counter(Plugin::kCampaign));
       out.body = campaign::encode_cell_result_payload(result);
       return out;
     }
@@ -393,7 +449,6 @@ Result<SchedServer::ExecOutcome> SchedServer::execute(
       if (!next) return next.error();
       const std::uint64_t version = next.value()->version();
       facade_.swap(std::move(next).value());
-      bump(plugin_counter(Plugin::kReload));
       bump("svc.reloads");
       if (obs::Registry::enabled()) {
         obs::Registry::global().gauge("svc.world_version")

@@ -1,14 +1,14 @@
-// SchedServer — the scheduler-as-a-service frontend (DESIGN.md
-// "Scheduler service").
+// SchedServer — the one server of the service (DESIGN.md "Service").
 //
 // A long-lived multi-tenant query server over the DataFacade: the
-// acceptor (shared with TwinWorker) hands each connection to its own
-// thread, which reads svc.v1 request frames and dispatches them to
-// request plugins — submit-job (calendar projection), what-if (twin
-// consult against the resident snapshot; no snapshot bytes on the wire),
-// trace-explain (run diff), campaign (one cell through run_cell), and
-// the reload admin plugin that hot-swaps the resident dataset without
-// dropping in-flight requests.
+// acceptor hands each connection to its own thread, which reads request
+// envelopes and dispatches them to request plugins — submit-job (calendar
+// projection), what-if (twin consult against the resident snapshot; no
+// snapshot bytes on the wire), trace-explain (run diff), campaign (one
+// cell through run_cell), eval (a twin consult against the snapshot the
+// request carries — RemoteTwinEngine's plugin), and the reload admin
+// plugin that hot-swaps the resident dataset without dropping in-flight
+// requests.
 //
 // Load discipline: a bounded AdmissionGate caps concurrently executing
 // requests and the queue waiting behind them; anything beyond is shed
@@ -18,11 +18,14 @@
 // without executing (mirroring the socket layer's non-positive-budget
 // rule: never block on a lapsed deadline).
 //
-// Every decision is observable: svc.* counters/timers (see obs/catalog)
-// and kSvc trace spans stamped with plugin and world version, and
-// kStatsRequest is served out-of-band exactly as the twin worker serves
-// it, so a fleet driver can poll a scheduler service and a twin worker
-// through the same frame.
+// Every decision is observable: svc.* counters/timers (see obs/catalog),
+// one trace span per executed request stamped with the caller's trace
+// context, and kStatsRequest served out-of-band for fleet polls.
+//
+// Fault injection (tests and sched_server's --fail-first / --fail-after /
+// --stall-ms / --garbage) is built in, so the kill/stall/corruption cases
+// are deterministic: it keys off one ordinal over admitted plugin
+// requests.
 #pragma once
 
 #include <atomic>
@@ -76,17 +79,28 @@ class AdmissionGate {
 
 struct ServerFaults {
   /// Sleep inside every admitted request before it executes — the
-  /// deterministic stand-in for a slow plugin that the kBusy and
-  /// deadline tests key off.
+  /// deterministic stand-in for a slow plugin that the kBusy, deadline
+  /// and client-timeout tests key off.
   std::int64_t stall_ms = 0;
+
+  /// Abort (drop the connection without a reply) each of the first N
+  /// admitted requests — then behave. Exercises retry succeeding.
+  std::int64_t fail_first = 0;
+
+  /// Serve N admitted requests, then abort every later one (-1 = never).
+  /// Exercises retries exhausting and a server dying mid-campaign.
+  std::int64_t fail_after = -1;
+
+  /// Corrupt the CRC of every reply.
+  bool garbage = false;
 };
 
 struct ServerConfig {
   /// Per-socket-operation timeout while talking to a client.
   int io_timeout_ms = 30000;
 
-  /// Fork fan-out threads inside a what-if consult (0 = hardware
-  /// concurrency); a worker-local concern, never on the wire.
+  /// Fork fan-out threads inside a what-if or eval consult (0 = hardware
+  /// concurrency); a server-local concern, never on the wire.
   unsigned threads = 0;
 
   /// Admission bounds (see AdmissionGate).
@@ -95,8 +109,10 @@ struct ServerConfig {
 
   ServerFaults faults;
 
-  /// Server-side trace sink (borrowed; may be null). Served requests
-  /// record kSvc spans; reloads and rejections record kSvc events.
+  /// Server-side trace sink (borrowed; may be null). Executed requests
+  /// record a "request" span in the caller's category (kTwin for eval,
+  /// kCampaign for cells, kSvc otherwise); reloads and rejections record
+  /// kSvc events.
   obs::TraceSink* trace_sink = nullptr;
 };
 
@@ -155,6 +171,8 @@ class SchedServer {
   std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
   std::atomic<std::uint64_t> served_{0};
+  /// Admitted plugin requests so far — the fault-injection ordinal.
+  std::atomic<std::int64_t> request_ordinal_{0};
   /// Owns the listener and connection threads; declared last so its
   /// destructor joins serve_connection threads before the members they
   /// touch go away.

@@ -1,6 +1,5 @@
 // ConnectionAcceptor — the accept-loop / thread-per-connection machinery
-// shared by every twinsvc-framed server (TwinWorker and the scheduler
-// service in src/svc).
+// of the scheduler service (svc::SchedServer).
 //
 // The acceptor owns the listener and the connection threads. Each
 // accepted socket is handed to the serve callback on its own thread; the
@@ -28,7 +27,7 @@ class ConnectionAcceptor {
   /// callback owns the socket; when it returns the connection is done.
   using ServeFn = std::function<void(Socket)>;
 
-  /// `name` tags log lines ("twin_worker", "sched_server", ...).
+  /// `name` tags log lines ("sched_server").
   ConnectionAcceptor(Listener listener, ServeFn serve, std::string name);
   ~ConnectionAcceptor();
   ConnectionAcceptor(const ConnectionAcceptor&) = delete;

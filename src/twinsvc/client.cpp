@@ -22,7 +22,99 @@ void record_ms(std::string_view name, double ms) {
   if (obs::Registry::enabled()) obs::Registry::global().timer(name).record_ms(ms);
 }
 
+constexpr std::string_view kBusyMarker = "server busy (kSvcBusy)";
+
 }  // namespace
+
+Client::Client(ClientConfig config) : config_(std::move(config)) {}
+
+bool Client::is_busy(const Error& error) {
+  return error.to_string().find(kBusyMarker) != std::string::npos;
+}
+
+Result<Frame> Client::round_trip(std::string_view frame_bytes) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(config_.timeout_ms);
+  const auto remaining_ms = [&] {
+    return static_cast<int>(std::chrono::duration_cast<std::chrono::milliseconds>(
+                                deadline - std::chrono::steady_clock::now())
+                                .count());
+  };
+  if (!socket_.valid()) {
+    auto socket = dial(config_.endpoint, remaining_ms());
+    if (!socket) return socket.error();
+    socket_ = std::move(socket).value();
+  }
+  // A lapsed budget fails the socket call at once (non-positive timeout).
+  Status sent = send_frame(socket_, frame_bytes, remaining_ms());
+  Result<Frame> frame =
+      sent.ok() ? recv_frame(socket_, remaining_ms()) : Result<Frame>(sent.error());
+  if (!frame) socket_.close();  // the stream's state is unknown
+  return frame;
+}
+
+Result<SvcReply> Client::call(Plugin plugin, std::string_view body,
+                              const obs::TraceContext& context) {
+  SvcRequest request;  // the envelope; the body goes straight into the frame
+  request.request_id = next_request_id_++;
+  request.context = context;
+  request.plugin = static_cast<std::uint32_t>(plugin);
+  request.deadline_ms = config_.deadline_ms;
+  auto frame = round_trip(encode_svc_request(request, body));
+  if (!frame) return frame.error();
+  // Whatever leaves the stream out of step closes the connection; a
+  // request-level error or a busy shed keeps it.
+  const auto out_of_step = [this](Error error) {
+    socket_.close();
+    return error;
+  };
+  const auto mismatch = [&](std::uint64_t got) {
+    return out_of_step(Error{format("reply for request {} arrived on request {}",
+                                    got, request.request_id)});
+  };
+  switch (frame.value().type) {
+    case FrameType::kSvcReply: {
+      auto reply = decode_svc_reply(frame.value().payload);
+      if (!reply) return out_of_step(reply.error());
+      if (reply.value().request_id != request.request_id) {
+        return mismatch(reply.value().request_id);
+      }
+      last_world_version_ = reply.value().world_version;
+      return reply;
+    }
+    case FrameType::kSvcBusy: {
+      auto shed = decode_svc_busy(frame.value().payload);
+      if (!shed) return out_of_step(shed.error());
+      if (shed.value() != request.request_id) return mismatch(shed.value());
+      return Error{format("{} for request {}", kBusyMarker, shed.value())};
+    }
+    case FrameType::kError: {
+      auto error = decode_error(frame.value().payload);
+      if (!error) return out_of_step(error.error());
+      // Id 0 answers a frame that never decoded; the server hangs up next.
+      if (error.value().request_id != request.request_id) {
+        return out_of_step(Error{error.value().message});
+      }
+      return Error{error.value().message};
+    }
+    default:
+      return out_of_step(Error{format("unexpected reply frame type {}",
+                                      static_cast<int>(frame.value().type))});
+  }
+}
+
+Result<obs::StatsSnapshot> Client::stats() {
+  auto frame = round_trip(encode_stats_request());
+  if (!frame) return frame.error();
+  if (frame.value().type != FrameType::kStatsReply) {
+    socket_.close();
+    return Error{format("stats poll got frame type {}",
+                        static_cast<int>(frame.value().type))};
+  }
+  auto snapshot = decode_stats_reply(frame.value().payload);
+  if (!snapshot) socket_.close();
+  return snapshot;
+}
 
 RemoteTwinEngine::RemoteTwinEngine(MachineSpec machine, RemoteTwinConfig config)
     : machine_(machine),
@@ -83,19 +175,15 @@ RemoteTwinEngine::ChunkOutcome RemoteTwinEngine::run_chunk(
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
 
   EvalRequest request;
-  request.request_id = request_id;
   request.machine = machine_;
   request.twin = config_.twin;
   request.trace = trace;
   request.snapshot = snapshot;
   request.candidates = chunk;
-  const auto request_bytes = encode_eval_request(request);
+  // Encoded once; every attempt wraps it in a fresh envelope.
+  const auto body = encode_eval_request(request);
 
-  if (request_bytes.ok()) {
-    // One mutable copy: each retry re-stamps the fixed-size trace-context
-    // block in place (patch_trace_context) instead of re-encoding the
-    // snapshot payload per attempt.
-    std::string frame_bytes = request_bytes.value();
+  if (body.ok()) {
     for (int attempt_index = 0; attempt_index <= config_.max_retries;
          ++attempt_index) {
       if (attempt_index > 0) {
@@ -116,11 +204,6 @@ RemoteTwinEngine::ChunkOutcome RemoteTwinEngine::run_chunk(
       ctx.request_id = request_id;
       ctx.ordinal = static_cast<std::uint32_t>(attempt_index + 1);
       ctx.parent_span = obs::dispatch_span_id(request_id, ctx.ordinal);
-      if (Status patched = patch_trace_context(frame_bytes, ctx);
-          !patched.ok()) {
-        log::warn("twinsvc: trace-context patch failed: {}",
-                  patched.error().to_string());
-      }
 
       if (sink != nullptr) {
         sink->record(obs::TraceCategory::kTwin, "dispatch", snapshot.now,
@@ -132,15 +215,14 @@ RemoteTwinEngine::ChunkOutcome RemoteTwinEngine::run_chunk(
       const double rpc_start_wall =
           sink != nullptr ? sink->now_wall_ms() : 0.0;
       const auto rpc_start = std::chrono::steady_clock::now();
-      auto verdicts =
-          attempt(worker, frame_bytes, request_id, chunk.size());
+      auto verdicts = attempt(worker, body.value(), ctx, chunk.size());
       const double rpc_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - rpc_start)
                                 .count();
       record_ms("twinsvc.rpc", rpc_ms);
       if (sink != nullptr) {
-        // The dispatch span the worker's serve_eval span parents under:
-        // one per attempt, success or not, so unanswered dispatches are
+        // The dispatch span the server's request span parents under: one
+        // per attempt, success or not, so unanswered dispatches are
         // visible in the merged timeline.
         std::vector<obs::TraceArg> args;
         obs::append_context_args(args, ctx);
@@ -170,7 +252,7 @@ RemoteTwinEngine::ChunkOutcome RemoteTwinEngine::run_chunk(
     // The snapshot cannot travel (unregistered state codec) — remote is
     // off the table for this consult, not an error for the tuner.
     log::warn("twinsvc: request not serializable, consulting in-process: {}",
-              request_bytes.error().to_string());
+              body.error().to_string());
   }
 
   count("twinsvc.fallbacks");
@@ -188,88 +270,18 @@ RemoteTwinEngine::ChunkOutcome RemoteTwinEngine::run_chunk(
 }
 
 Result<std::vector<TwinForkResult>> RemoteTwinEngine::attempt(
-    const Endpoint& worker, std::string_view request_bytes,
-    std::uint64_t request_id, std::size_t expected) {
-  const auto deadline_start = std::chrono::steady_clock::now();
-  const auto remaining_ms = [&]() -> int {
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now() - deadline_start)
-                             .count();
-    return static_cast<int>(config_.request_timeout_ms - elapsed);
-  };
-
-  auto socket = dial(worker, remaining_ms());
-  if (!socket) return socket.error();
-  if (remaining_ms() <= 0) return Error{"request deadline expired after connect"};
-  if (Status sent = send_frame(socket.value(), request_bytes, remaining_ms());
-      !sent.ok()) {
-    return sent.error();
+    const Endpoint& worker, const std::string& body,
+    const obs::TraceContext& context, std::size_t expected) const {
+  Client client(ClientConfig{worker, config_.request_timeout_ms});
+  auto reply = client.call(Plugin::kEval, body, context);
+  if (!reply) return reply.error();
+  auto verdicts = decode_verdicts(reply.value().body);
+  if (!verdicts) return verdicts.error();
+  if (verdicts.value().size() != expected) {
+    return Error{format("{} verdicts for {} candidates",
+                        verdicts.value().size(), expected)};
   }
-
-  std::vector<std::optional<TwinForkResult>> slots(expected);
-  std::size_t filled = 0;
-  while (true) {
-    const int budget = remaining_ms();
-    if (budget <= 0) {
-      return Error{format("request deadline expired ({} of {} verdicts)",
-                          filled, expected)};
-    }
-    auto frame = recv_frame(socket.value(), budget);
-    if (!frame) return frame.error();
-    switch (frame.value().type) {
-      case FrameType::kVerdict: {
-        auto verdict = decode_verdict(frame.value().payload);
-        if (!verdict) return verdict.error();
-        if (verdict.value().request_id != request_id) {
-          return Error{format("verdict for request {} on request {}'s stream",
-                              verdict.value().request_id, request_id)};
-        }
-        if (verdict.value().index >= expected) {
-          return Error{format("verdict index {} out of range ({} candidates)",
-                              verdict.value().index, expected)};
-        }
-        auto& slot = slots[static_cast<std::size_t>(verdict.value().index)];
-        if (slot.has_value()) {
-          return Error{format("duplicate verdict for candidate {}",
-                              verdict.value().index)};
-        }
-        slot = std::move(verdict).value().result;
-        ++filled;
-        break;
-      }
-      case FrameType::kEvalDone: {
-        auto done = decode_done(frame.value().payload);
-        if (!done) return done.error();
-        if (done.value().request_id != request_id) {
-          return Error{format("done frame for request {} on request {}'s stream",
-                              done.value().request_id, request_id)};
-        }
-        if (filled != expected) {
-          return Error{format("verdict stream closed with {} of {} verdicts",
-                              filled, expected)};
-        }
-        std::vector<TwinForkResult> results;
-        results.reserve(expected);
-        for (auto& slot : slots) results.push_back(std::move(*slot));
-        return results;
-      }
-      case FrameType::kError: {
-        auto error = decode_error(frame.value().payload);
-        if (!error) return error.error();
-        return Error{format("worker error: {}", error.value().message)};
-      }
-      case FrameType::kEvalRequest:
-      case FrameType::kRunCell:
-      case FrameType::kCellResult:
-      case FrameType::kStatsRequest:
-      case FrameType::kStatsReply:
-      case FrameType::kSvcRequest:
-      case FrameType::kSvcReply:
-      case FrameType::kSvcBusy:
-        return Error{format("unexpected frame type {} on a verdict stream",
-                            static_cast<int>(frame.value().type))};
-    }
-  }
+  return verdicts;
 }
 
 }  // namespace amjs::twinsvc

@@ -1,6 +1,8 @@
 #include "twinsvc/frame.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 
 #include "snapshot_io/binio.hpp"
 #include "snapshot_io/snapshot_codec.hpp"
@@ -13,14 +15,45 @@ using snapshot_io::ByteReader;
 using snapshot_io::ByteWriter;
 using snapshot_io::crc32;
 
-}  // namespace
+/// An i64 field that fills an int: a value outside the int range is an
+/// error, never a silent narrowing to a different value.
+Result<int> read_int(ByteReader& r, std::string_view what) {
+  auto value = r.i64();
+  if (!value) return value.error();
+  if (value.value() < std::numeric_limits<int>::min() ||
+      value.value() > std::numeric_limits<int>::max()) {
+    return Error{format("{} {} is out of range", what, value.value())};
+  }
+  return static_cast<int>(value.value());
+}
 
-std::string seal_frame(FrameType type, std::string_view payload) {
-  ByteWriter w;
+/// The header of a `payload_size`-byte frame, into a writer sized for the
+/// whole frame so the payload and CRC append without reallocating.
+void write_frame_header(ByteWriter& w, FrameType type, std::size_t payload_size) {
+  w.reserve(kFrameOverhead + payload_size);
   w.bytes(kFrameMagic);
   w.u32(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(type));
-  w.u64(payload.size());
+  w.u64(payload_size);
+}
+
+}  // namespace
+
+const char* to_string(Plugin plugin) {
+  switch (plugin) {
+    case Plugin::kSubmitJob: return "submit_job";
+    case Plugin::kWhatIf: return "what_if";
+    case Plugin::kTraceExplain: return "trace_explain";
+    case Plugin::kCampaign: return "campaign";
+    case Plugin::kEval: return "eval";
+    case Plugin::kReload: return "reload";
+  }
+  return "?";
+}
+
+std::string seal_frame(FrameType type, std::string_view payload) {
+  ByteWriter w;
+  write_frame_header(w, type, payload.size());
   w.bytes(payload);
   w.u32(crc32(payload));
   return w.take();
@@ -58,33 +91,6 @@ Result<obs::TraceContext> read_trace_context(ByteReader& r) {
   return ctx;
 }
 
-Status patch_trace_context(std::string& frame, const obs::TraceContext& ctx) {
-  auto header = decode_frame_header(
-      std::string_view(frame).substr(0, std::min(frame.size(), kFrameHeaderSize)));
-  if (!header) return header.error();
-  if (header.value().type != FrameType::kEvalRequest &&
-      header.value().type != FrameType::kRunCell) {
-    return Error{format("cannot patch trace context into frame type {}",
-                        static_cast<int>(header.value().type))};
-  }
-  if (frame.size() != kFrameOverhead + header.value().payload_size ||
-      header.value().payload_size <
-          kTraceContextPayloadOffset + kTraceContextEncodedSize) {
-    return Error{"frame too short to hold a trace-context block"};
-  }
-  ByteWriter block;
-  write_trace_context(block, ctx);
-  frame.replace(kFrameHeaderSize + kTraceContextPayloadOffset,
-                kTraceContextEncodedSize, block.data());
-  const std::string_view payload =
-      std::string_view(frame).substr(kFrameHeaderSize,
-                                     header.value().payload_size);
-  ByteWriter crc;
-  crc.u32(crc32(payload));
-  frame.replace(frame.size() - 4, 4, crc.data());
-  return Status::success();
-}
-
 void write_machine_spec(ByteWriter& w, const MachineSpec& spec) {
   w.u8(static_cast<std::uint8_t>(spec.kind));
   w.i64(spec.nodes);
@@ -107,29 +113,57 @@ Result<MachineSpec> read_machine_spec(ByteReader& r) {
   auto leaf_nodes = r.i64();
   if (!leaf_nodes) return leaf_nodes.error();
   spec.partition.leaf_nodes = leaf_nodes.value();
-  auto row_leaves = r.i64();
+  auto row_leaves = read_int(r, "machine row_leaves");
   if (!row_leaves) return row_leaves.error();
-  spec.partition.row_leaves = static_cast<int>(row_leaves.value());
-  auto rows = r.i64();
+  spec.partition.row_leaves = row_leaves.value();
+  auto rows = read_int(r, "machine rows");
   if (!rows) return rows.error();
-  spec.partition.rows = static_cast<int>(rows.value());
+  spec.partition.rows = rows.value();
   if (!spec.valid()) {
     return Error{format("invalid machine spec {}", spec.label())};
   }
   return spec;
 }
 
+void write_job(ByteWriter& w, const Job& job) {
+  w.i64(job.id);
+  w.i64(job.submit);
+  w.i64(job.runtime);
+  w.i64(job.walltime);
+  w.i64(job.nodes);
+  w.str(job.user);
+  w.i64(job.queue);
+}
+
+Result<Job> read_job(ByteReader& r) {
+  Job job;
+  auto id = r.i64();
+  if (!id) return id.error();
+  job.id = static_cast<JobId>(id.value());
+  auto submit = r.i64();
+  if (!submit) return submit.error();
+  job.submit = submit.value();
+  auto runtime = r.i64();
+  if (!runtime) return runtime.error();
+  job.runtime = runtime.value();
+  auto walltime = r.i64();
+  if (!walltime) return walltime.error();
+  job.walltime = walltime.value();
+  auto nodes = r.i64();
+  if (!nodes) return nodes.error();
+  job.nodes = nodes.value();
+  auto user = r.str();
+  if (!user) return user.error();
+  job.user = std::move(user).value();
+  auto queue = r.i64();
+  if (!queue) return queue.error();
+  job.queue = static_cast<int>(queue.value());
+  return job;
+}
+
 void write_job_trace(ByteWriter& w, const JobTrace& trace) {
   w.u64(trace.size());
-  for (const Job& job : trace.jobs()) {
-    w.i64(job.id);
-    w.i64(job.submit);
-    w.i64(job.runtime);
-    w.i64(job.walltime);
-    w.i64(job.nodes);
-    w.str(job.user);
-    w.i64(job.queue);
-  }
+  for (const Job& job : trace.jobs()) write_job(w, job);
 }
 
 Result<JobTrace> read_job_trace(ByteReader& r) {
@@ -143,29 +177,9 @@ Result<JobTrace> read_job_trace(ByteReader& r) {
   std::vector<Job> jobs;
   jobs.reserve(n.value());
   for (std::uint64_t i = 0; i < n.value(); ++i) {
-    Job job;
-    auto id = r.i64();
-    if (!id) return id.error();
-    job.id = static_cast<JobId>(id.value());
-    auto submit = r.i64();
-    if (!submit) return submit.error();
-    job.submit = submit.value();
-    auto runtime = r.i64();
-    if (!runtime) return runtime.error();
-    job.runtime = runtime.value();
-    auto walltime = r.i64();
-    if (!walltime) return walltime.error();
-    job.walltime = walltime.value();
-    auto nodes = r.i64();
-    if (!nodes) return nodes.error();
-    job.nodes = nodes.value();
-    auto user = r.str();
-    if (!user) return user.error();
-    job.user = std::move(user).value();
-    auto queue = r.i64();
-    if (!queue) return queue.error();
-    job.queue = static_cast<int>(queue.value());
-    jobs.push_back(std::move(job));
+    auto job = read_job(r);
+    if (!job) return job.error();
+    jobs.push_back(std::move(job).value());
   }
   // The trace travelled in canonical (dense-id, submit-sorted) order, so
   // rebuilding through from_jobs is the identity — plus its validation.
@@ -196,9 +210,9 @@ Result<TwinCandidateSpec> read_candidate_spec(ByteReader& r) {
   auto bf = r.f64();
   if (!bf) return bf.error();
   spec.config.policy.balance_factor = bf.value();
-  auto w_size = r.i64();
+  auto w_size = read_int(r, "candidate window_size");
   if (!w_size) return w_size.error();
-  spec.config.policy.window_size = static_cast<int>(w_size.value());
+  spec.config.policy.window_size = w_size.value();
   if (!spec.config.policy.valid()) {
     return Error{format("invalid candidate policy (bf {}, w {})",
                         spec.config.policy.balance_factor,
@@ -216,10 +230,33 @@ Result<TwinCandidateSpec> read_candidate_spec(ByteReader& r) {
   auto exhaustive = r.boolean();
   if (!exhaustive) return exhaustive.error();
   spec.config.exhaustive_window_search = exhaustive.value();
-  auto max_window = r.i64();
+  auto max_window = read_int(r, "candidate max_window");
   if (!max_window) return max_window.error();
-  spec.config.max_window = static_cast<int>(max_window.value());
+  spec.config.max_window = max_window.value();
   return spec;
+}
+
+void write_candidates(ByteWriter& w,
+                      const std::vector<TwinCandidateSpec>& candidates) {
+  w.u64(candidates.size());
+  for (const auto& spec : candidates) write_candidate_spec(w, spec);
+}
+
+Result<std::vector<TwinCandidateSpec>> read_candidates(ByteReader& r) {
+  // Smallest encoded candidate: two string length prefixes, three 8-byte
+  // numeric fields, the mode byte and two bools — caps reserve() by
+  // received bytes, like read_job_trace.
+  constexpr std::uint64_t kMinEncodedCandidateBytes = 5 * 8 + 3;
+  auto n = r.count(r.remaining() / kMinEncodedCandidateBytes);
+  if (!n) return n.error();
+  std::vector<TwinCandidateSpec> candidates;
+  candidates.reserve(n.value());
+  for (std::uint64_t i = 0; i < n.value(); ++i) {
+    auto candidate = read_candidate_spec(r);
+    if (!candidate) return candidate.error();
+    candidates.push_back(std::move(candidate).value());
+  }
+  return candidates;
 }
 
 void write_fork_result(ByteWriter& w, const TwinForkResult& result) {
@@ -258,8 +295,6 @@ Result<std::string> encode_eval_request(const EvalRequest& request) {
   auto snapshot_bytes = snapshot_io::write_snapshot(request.snapshot);
   if (!snapshot_bytes) return snapshot_bytes.error();
   ByteWriter w;
-  w.u64(request.request_id);
-  write_trace_context(w, request.context);
   write_machine_spec(w, request.machine);
   w.i64(request.twin.horizon);
   w.i64(request.twin.metric_check_interval);
@@ -267,24 +302,51 @@ Result<std::string> encode_eval_request(const EvalRequest& request) {
   w.f64(request.twin.util_weight);
   write_job_trace(w, request.trace);
   w.str(snapshot_bytes.value());
-  w.u64(request.candidates.size());
-  for (const auto& candidate : request.candidates) write_candidate_spec(w, candidate);
-  return seal_frame(FrameType::kEvalRequest, w.data());
+  write_candidates(w, request.candidates);
+  return w.take();
 }
 
-std::string encode_verdict(const VerdictFrame& verdict) {
+std::string encode_verdicts(const std::vector<TwinForkResult>& verdicts) {
   ByteWriter w;
-  w.u64(verdict.request_id);
-  w.u64(verdict.index);
-  write_fork_result(w, verdict.result);
-  return seal_frame(FrameType::kVerdict, w.data());
+  w.u64(verdicts.size());
+  for (const auto& verdict : verdicts) write_fork_result(w, verdict);
+  return w.take();
 }
 
-std::string encode_done(const DoneFrame& done) {
+std::string encode_svc_request(const SvcRequest& request) {
+  return encode_svc_request(request, request.body);
+}
+
+std::string encode_svc_request(const SvcRequest& request,
+                               std::string_view body) {
+  // Sealed in place, not through seal_frame: the body is copied once.
+  // Fixed part: request id, context block, plugin, deadline, body length.
+  constexpr std::size_t kFixedPayload = 8 + kTraceContextEncodedSize + 4 + 8 + 8;
   ByteWriter w;
-  w.u64(done.request_id);
-  w.u64(done.verdicts);
-  return seal_frame(FrameType::kEvalDone, w.data());
+  write_frame_header(w, FrameType::kSvcRequest, kFixedPayload + body.size());
+  w.u64(request.request_id);
+  write_trace_context(w, request.context);
+  w.u32(request.plugin);
+  w.i64(request.deadline_ms);
+  w.str(body);
+  assert(w.size() == kFrameHeaderSize + kFixedPayload + body.size());
+  w.u32(crc32(std::string_view(w.data()).substr(kFrameHeaderSize)));
+  return w.take();
+}
+
+std::string encode_svc_reply(const SvcReply& reply) {
+  ByteWriter w;
+  w.u64(reply.request_id);
+  w.u32(reply.plugin);
+  w.u64(reply.world_version);
+  w.str(reply.body);
+  return seal_frame(FrameType::kSvcReply, w.data());
+}
+
+std::string encode_svc_busy(std::uint64_t request_id) {
+  ByteWriter w;
+  w.u64(request_id);
+  return seal_frame(FrameType::kSvcBusy, w.data());
 }
 
 std::string encode_error(const ErrorFrame& error) {
@@ -328,20 +390,27 @@ Result<FrameHeader> decode_frame_header(std::string_view bytes) {
                         bytes.size())};
   }
   if (bytes.substr(0, kFrameMagic.size()) != kFrameMagic) {
-    return Error{"not a twinsvc frame (bad magic)"};
+    return Error{"not an svc frame (bad magic)"};
   }
   ByteReader r(bytes.substr(kFrameMagic.size()));
   auto version = r.u32();
   if (!version) return version.error();
   if (version.value() != kProtocolVersion) {
-    return Error{format("unsupported twinsvc protocol version {} (this peer speaks {})",
+    return Error{format("unsupported svc protocol version {} (this peer speaks {})",
                         version.value(), kProtocolVersion)};
   }
   auto type = r.u8();
   if (!type) return type.error();
-  if (type.value() < static_cast<std::uint8_t>(FrameType::kEvalRequest) ||
-      type.value() > static_cast<std::uint8_t>(FrameType::kSvcBusy)) {
-    return Error{format("unknown frame type {}", type.value())};
+  switch (static_cast<FrameType>(type.value())) {
+    case FrameType::kError:
+    case FrameType::kStatsRequest:
+    case FrameType::kStatsReply:
+    case FrameType::kSvcRequest:
+    case FrameType::kSvcReply:
+    case FrameType::kSvcBusy:
+      break;
+    default:
+      return Error{format("unknown frame type {}", type.value())};
   }
   auto length = r.u64();
   if (!length) return length.error();
@@ -393,15 +462,9 @@ Result<Frame> decode_frame(std::string_view bytes) {
   return frame;
 }
 
-Result<EvalRequest> decode_eval_request(std::string_view payload) {
-  ByteReader r(payload);
+Result<EvalRequest> decode_eval_request(std::string_view body) {
+  ByteReader r(body);
   EvalRequest request;
-  auto id = r.u64();
-  if (!id) return id.error();
-  request.request_id = id.value();
-  auto context = read_trace_context(r);
-  if (!context) return context.error();
-  request.context = context.value();
   auto machine = read_machine_spec(r);
   if (!machine) return machine.error();
   request.machine = machine.value();
@@ -431,54 +494,95 @@ Result<EvalRequest> decode_eval_request(std::string_view payload) {
     return Error{snapshot.error().message, "request snapshot"};
   }
   request.snapshot = std::move(snapshot).value();
-  // kMinEncodedCandidateBytes (two string length prefixes, three 8-byte
-  // numeric fields, the mode byte and two bools) caps reserve() by
-  // received bytes, like read_trace.
-  auto n = r.count(r.remaining() / kMinEncodedCandidateBytes);
-  if (!n) return n.error();
-  request.candidates.reserve(n.value());
-  for (std::uint64_t i = 0; i < n.value(); ++i) {
-    auto candidate = read_candidate_spec(r);
-    if (!candidate) return candidate.error();
-    request.candidates.push_back(std::move(candidate).value());
-  }
+  auto candidates = read_candidates(r);
+  if (!candidates) return candidates.error();
+  request.candidates = std::move(candidates).value();
   if (!r.exhausted()) {
     return Error{format("{} trailing bytes after eval request", r.remaining())};
+  }
+  if (Status fits = check_resumable(request.trace, request.snapshot, request.machine);
+      !fits.ok()) {
+    return Error{fits.error().message, "request snapshot"};
   }
   return request;
 }
 
-Result<VerdictFrame> decode_verdict(std::string_view payload) {
-  ByteReader r(payload);
-  VerdictFrame verdict;
-  auto id = r.u64();
-  if (!id) return id.error();
-  verdict.request_id = id.value();
-  auto index = r.u64();
-  if (!index) return index.error();
-  verdict.index = index.value();
-  auto result = read_fork_result(r);
-  if (!result) return result.error();
-  verdict.result = std::move(result).value();
-  if (!r.exhausted()) {
-    return Error{format("{} trailing bytes after verdict", r.remaining())};
+Result<std::vector<TwinForkResult>> decode_verdicts(std::string_view body) {
+  ByteReader r(body);
+  // Smallest encoded fork result: label length prefix + 4 doubles + u64.
+  constexpr std::uint64_t kMinEncodedVerdictBytes = 8 + 4 * 8 + 8;
+  auto count = r.count(r.remaining() / kMinEncodedVerdictBytes);
+  if (!count) return count.error();
+  std::vector<TwinForkResult> verdicts;
+  verdicts.reserve(count.value());
+  for (std::uint64_t i = 0; i < count.value(); ++i) {
+    auto verdict = read_fork_result(r);
+    if (!verdict) return verdict.error();
+    verdicts.push_back(std::move(verdict).value());
   }
-  return verdict;
+  if (!r.exhausted()) {
+    return Error{format("{} trailing bytes after verdict batch",
+                        r.remaining())};
+  }
+  return verdicts;
 }
 
-Result<DoneFrame> decode_done(std::string_view payload) {
+Result<SvcRequest> decode_svc_request(std::string_view payload) {
   ByteReader r(payload);
-  DoneFrame done;
-  auto id = r.u64();
-  if (!id) return id.error();
-  done.request_id = id.value();
-  auto verdicts = r.u64();
-  if (!verdicts) return verdicts.error();
-  done.verdicts = verdicts.value();
+  SvcRequest request;
+  auto request_id = r.u64();
+  if (!request_id) return request_id.error();
+  request.request_id = request_id.value();
+  auto context = read_trace_context(r);
+  if (!context) return context.error();
+  request.context = context.value();
+  auto plugin = r.u32();
+  if (!plugin) return plugin.error();
+  request.plugin = plugin.value();
+  auto deadline = r.i64();
+  if (!deadline) return deadline.error();
+  request.deadline_ms = deadline.value();
+  auto body = r.str();
+  if (!body) return body.error();
+  request.body = std::move(body).value();
   if (!r.exhausted()) {
-    return Error{format("{} trailing bytes after done frame", r.remaining())};
+    return Error{format("{} trailing bytes after svc request payload",
+                        r.remaining())};
   }
-  return done;
+  return request;
+}
+
+Result<SvcReply> decode_svc_reply(std::string_view payload) {
+  ByteReader r(payload);
+  SvcReply reply;
+  auto request_id = r.u64();
+  if (!request_id) return request_id.error();
+  reply.request_id = request_id.value();
+  auto plugin = r.u32();
+  if (!plugin) return plugin.error();
+  reply.plugin = plugin.value();
+  auto world_version = r.u64();
+  if (!world_version) return world_version.error();
+  reply.world_version = world_version.value();
+  auto body = r.str();
+  if (!body) return body.error();
+  reply.body = std::move(body).value();
+  if (!r.exhausted()) {
+    return Error{format("{} trailing bytes after svc reply payload",
+                        r.remaining())};
+  }
+  return reply;
+}
+
+Result<std::uint64_t> decode_svc_busy(std::string_view payload) {
+  ByteReader r(payload);
+  auto request_id = r.u64();
+  if (!request_id) return request_id.error();
+  if (!r.exhausted()) {
+    return Error{format("{} trailing bytes after svc busy payload",
+                        r.remaining())};
+  }
+  return request_id.value();
 }
 
 Result<obs::StatsSnapshot> decode_stats_reply(std::string_view payload) {

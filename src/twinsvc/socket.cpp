@@ -254,7 +254,7 @@ Result<Listener> Listener::bind(const Endpoint& endpoint, int backlog) {
   listener.endpoint_ = endpoint;
 
   if (endpoint.kind == Endpoint::Kind::kUnix) {
-    std::remove(endpoint.path.c_str());  // stale socket from a dead worker
+    std::remove(endpoint.path.c_str());  // stale socket from a dead server
     auto addr = unix_address(endpoint.path);
     if (!addr) return addr.error();
     if (::bind(fd, reinterpret_cast<const struct sockaddr*>(&addr.value()),

@@ -1,4 +1,4 @@
-// Minimal POSIX stream-socket layer for the twin service: endpoint
+// Minimal POSIX stream-socket layer for the service: endpoint
 // parsing, a move-only connected socket with deadline-bounded I/O, and a
 // listener. Unix-domain sockets cover the single-host case (and the test
 // suite); TCP covers cross-host fan-out. No third-party dependencies —
@@ -107,9 +107,7 @@ struct ListenOptions {
 };
 
 /// Parse `listen_text` ("unix:/path" or "tcp:host:port"), bind + listen,
-/// and announce the resolved endpoint through `options.ready_file`. The
-/// one bind/listen/ready-file path TwinWorker-style binaries and the
-/// scheduler service share.
+/// and announce the resolved endpoint through `options.ready_file`.
 [[nodiscard]] Result<Listener> bind_listener(std::string_view listen_text,
                                              const ListenOptions& options = {});
 [[nodiscard]] Result<Listener> bind_listener(const Endpoint& endpoint,

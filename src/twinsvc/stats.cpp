@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "twinsvc/client.hpp"
 #include "util/fmt.hpp"
 #include "util/log.hpp"
 
@@ -15,29 +16,6 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
 }
 
 }  // namespace
-
-Result<obs::StatsSnapshot> query_worker_stats(const Endpoint& endpoint,
-                                              int timeout_ms) {
-  auto socket = dial(endpoint, timeout_ms);
-  if (!socket) return socket.error();
-  if (Status sent =
-          send_frame(socket.value(), encode_stats_request(), timeout_ms);
-      !sent.ok()) {
-    return sent.error();
-  }
-  auto reply = recv_frame(socket.value(), timeout_ms);
-  if (!reply) return reply.error();
-  if (reply.value().type == FrameType::kError) {
-    auto error = decode_error(reply.value().payload);
-    return Error{format("worker {} refused stats poll: {}", endpoint.to_string(),
-                        error ? error.value().message : "undecodable error")};
-  }
-  if (reply.value().type != FrameType::kStatsReply) {
-    return Error{format("stats poll got frame type {}",
-                        static_cast<int>(reply.value().type))};
-  }
-  return decode_stats_reply(reply.value().payload);
-}
 
 FleetMonitor::FleetMonitor(std::vector<Endpoint> endpoints,
                            FleetMonitorConfig config)
@@ -79,7 +57,7 @@ void FleetMonitor::fold(const std::string& endpoint_name,
     auto& registry = obs::Registry::global();
     for (const auto& [name, value] : snapshot.counters) {
       std::uint64_t& folded = state.folded[name];
-      // Worker counters are monotone; a smaller value means the worker
+      // Server counters are monotone; a smaller value means the server
       // restarted, so re-fold from zero rather than underflow.
       if (value < folded) folded = 0;
       if (value > folded) {
@@ -104,7 +82,7 @@ std::size_t FleetMonitor::poll_once() {
     const bool enabled = obs::Registry::enabled();
     if (enabled) obs::Registry::global().counter("fleet.polls").add();
     const auto poll_start = Clock::now();
-    auto snapshot = query_worker_stats(endpoint, config_.timeout_ms);
+    auto snapshot = Client(ClientConfig{endpoint, config_.timeout_ms}).stats();
     if (enabled) {
       obs::Registry::global()
           .timer("fleet.poll")
@@ -134,7 +112,7 @@ std::size_t FleetMonitor::poll_once() {
     }
     const std::int64_t in_flight = [&] {
       for (const auto& [gauge_name, value] : state.last_snapshot.gauges) {
-        if (gauge_name == "twinsvc.worker.in_flight") return value;
+        if (gauge_name == "svc.in_flight") return value;
       }
       return std::int64_t{0};
     }();
@@ -142,7 +120,7 @@ std::size_t FleetMonitor::poll_once() {
         !state.stall_warned) {
       state.stall_warned = true;
       log::warn(
-          "fleet: worker {} last answered {}ms ago with {} request(s) in "
+          "fleet: server {} last answered {}ms ago with {} request(s) in "
           "flight — likely stalled",
           name, static_cast<std::int64_t>(age_ms), in_flight);
     }

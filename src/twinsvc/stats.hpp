@@ -1,13 +1,13 @@
-// Fleet telemetry: the client side of the kStatsRequest / kStatsReply
+// Fleet telemetry: the polling side of the kStatsRequest / kStatsReply
 // frames (see DESIGN.md "Distributed observability").
 //
-// query_worker_stats is one poll round trip; FleetMonitor runs the
-// periodic + final polling policy shared by RemoteTwinEngine and the
-// campaign driver (--fleet-stats): each successful poll folds the
-// worker's counters into this process's registry under
+// FleetMonitor runs the periodic + final polling policy shared by
+// RemoteTwinEngine and the campaign driver (--fleet-stats), one
+// Client::stats() round trip per endpoint per poll: each successful poll
+// folds the server's counters into this process's registry under
 // `fleet.<endpoint>.<name>` as deltas (so driver-side values track the
-// worker's own monotone counters exactly), and maintains per-endpoint
-// heartbeat-age and in-flight gauges so a stalled worker is visible
+// server's own monotone counters exactly), and maintains per-endpoint
+// heartbeat-age and in-flight gauges so a stalled server is visible
 // before its request deadline fires.
 #pragma once
 
@@ -21,23 +21,18 @@
 
 #include "obs/registry.hpp"
 #include "twinsvc/socket.hpp"
-#include "util/result.hpp"
 
 namespace amjs::twinsvc {
-
-/// One stats poll: dial, send kStatsRequest, decode the kStatsReply.
-[[nodiscard]] Result<obs::StatsSnapshot> query_worker_stats(
-    const Endpoint& endpoint, int timeout_ms);
 
 struct FleetMonitorConfig {
   /// Poll cadence; <= 0 disables the background thread (final_poll() and
   /// poll_once() still work, which is what the tests drive).
   int interval_ms = 0;
 
-  /// Per-poll I/O deadline.
+  /// Per-poll deadline (connect + request + reply).
   int timeout_ms = 2000;
 
-  /// A worker whose last successful poll is older than this *and* whose
+  /// A server whose last successful poll is older than this *and* whose
   /// last known in-flight depth was non-zero gets a stall warning logged.
   int stall_warn_ms = 10000;
 };

@@ -1,6 +1,6 @@
-// Campaign driver fault matrix: whatever the worker fleet does — serves
+// Campaign driver fault matrix: whatever the server fleet does — serves
 // cleanly, aborts mid-campaign, stalls past the deadline, corrupts
-// frames, or never existed — every cell completes and the aggregated
+// replies, or never existed — every cell completes and the aggregated
 // report is byte-identical to the all-local reference run. The campaign.*
 // counters pin the exact requeue/fallback path taken.
 #include <gtest/gtest.h>
@@ -13,10 +13,9 @@
 
 #include "campaign/aggregate.hpp"
 #include "campaign/driver.hpp"
-#include "campaign/service.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "twinsvc/worker.hpp"
+#include "support/test_server.hpp"
 
 namespace amjs::campaign {
 namespace {
@@ -24,6 +23,9 @@ namespace {
 std::uint64_t counter(std::string_view name) {
   return obs::Registry::global().counter(name).value();
 }
+
+/// Cells a server has served: the campaign plugin's counter.
+std::uint64_t cells_served() { return counter("svc.plugin.campaign"); }
 
 /// Shared scenario: a cheap 8-cell campaign (2 policies x 2 seeds x 2
 /// fault profiles on a 100-node flat machine) plus its all-local
@@ -72,30 +74,12 @@ class CampaignDriver : public ::testing::Test {
     return out.str();
   }
 
-  /// A real in-process worker serving campaign.v1 through the TwinWorker
-  /// extension slot — the same wiring twin_worker ships.
-  struct WorkerHarness {
-    CampaignCellHandler handler;
-    std::unique_ptr<twinsvc::TwinWorker> worker;
-
-    [[nodiscard]] twinsvc::Endpoint endpoint() const {
-      return worker->endpoint();
-    }
-  };
-
-  [[nodiscard]] std::unique_ptr<WorkerHarness> start_worker(
-      twinsvc::WorkerFaults faults = {}) {
-    auto harness = std::make_unique<WorkerHarness>();
-    auto listener = twinsvc::Listener::bind(twinsvc::Endpoint::tcp("127.0.0.1", 0));
-    EXPECT_TRUE(listener.ok());
-    twinsvc::WorkerConfig config;
-    config.threads = 1;
+  /// A real in-process server.
+  [[nodiscard]] static std::unique_ptr<svc::SchedServer> start_faulty(
+      svc::ServerFaults faults) {
+    svc::ServerConfig config;
     config.faults = faults;
-    config.extension = &harness->handler;
-    harness->worker = std::make_unique<twinsvc::TwinWorker>(
-        std::move(listener).value(), config);
-    harness->worker->start();
-    return harness;
+    return test_support::start_server(config);
   }
 
   [[nodiscard]] CampaignConfig fleet_config(
@@ -129,19 +113,19 @@ TEST_F(CampaignDriver, LocalRunCompletesEveryCellInOrder) {
 }
 
 TEST_F(CampaignDriver, HealthyWorkerServesEveryCellBitIdentically) {
-  auto worker = start_worker();
+  auto worker = test_support::start_server();
   obs::TraceRecorder sink;
   CampaignConfig config = fleet_config({worker->endpoint()});
   config.trace_sink = &sink;
 
   const CampaignOutcome outcome = run_cells(cells_, config);
-  worker->worker->stop();
+  worker->stop();
   ASSERT_EQ(outcome.cells.size(), 8u);
   EXPECT_EQ(outcome.remote_cells, 8u);
   EXPECT_EQ(outcome.local_cells, 0u);
   EXPECT_EQ(outcome.requeues, 0u);
   EXPECT_EQ(outcome.duplicate_results, 0u);
-  EXPECT_EQ(worker->handler.cells_served(), 8u);
+  EXPECT_EQ(cells_served(), 8u);
   EXPECT_EQ(counter("campaign.dispatches"), 8u);
   EXPECT_EQ(counter("campaign.remote_cells"), 8u);
   EXPECT_EQ(counter("campaign.rpc_errors"), 0u);
@@ -151,56 +135,56 @@ TEST_F(CampaignDriver, HealthyWorkerServesEveryCellBitIdentically) {
 }
 
 TEST_F(CampaignDriver, AbortedCellIsRequeuedAndRetriedOnTheSameWorker) {
-  // fail_first = 1: the worker aborts exactly its first request (abrupt
+  // fail_first = 1: the server aborts exactly its first request (abrupt
   // close, no reply), then behaves. One requeue, one extra dispatch, and
   // the campaign still never leaves the fleet.
-  twinsvc::WorkerFaults faults;
+  svc::ServerFaults faults;
   faults.fail_first = 1;
-  auto worker = start_worker(faults);
+  auto worker = start_faulty(faults);
   obs::TraceRecorder sink;
   CampaignConfig config = fleet_config({worker->endpoint()});
   config.trace_sink = &sink;
 
   const CampaignOutcome outcome = run_cells(cells_, config);
-  worker->worker->stop();
+  worker->stop();
   ASSERT_EQ(outcome.cells.size(), 8u);
   EXPECT_EQ(outcome.remote_cells, 8u);
   EXPECT_EQ(outcome.local_cells, 0u);
   EXPECT_EQ(outcome.requeues, 1u);
   EXPECT_EQ(outcome.duplicate_results, 0u);
   EXPECT_EQ(outcome.retired_workers, 0u);
-  EXPECT_EQ(worker->handler.cells_served(), 8u);
+  EXPECT_EQ(cells_served(), 8u);
   EXPECT_EQ(counter("campaign.dispatches"), 9u);  // 8 cells + 1 retry
   EXPECT_EQ(counter("campaign.requeues"), 1u);
   EXPECT_EQ(counter("campaign.rpc_errors"), 1u);
   EXPECT_EQ(counter("campaign.remote_cells"), 8u);
   EXPECT_EQ(counter("campaign.local_cells"), 0u);
-  EXPECT_EQ(counter("campaign.worker.aborts"), 1u);
+  EXPECT_EQ(counter("svc.aborts"), 1u);
   EXPECT_EQ(sink.count(obs::TraceCategory::kCampaign, "requeue"), 1u);
   EXPECT_EQ(outcome_json(outcome), reference_json_);
 }
 
 TEST_F(CampaignDriver, DyingWorkerRetiresAndTheSweepFinishes) {
-  // fail_after = 2: the lone worker serves two cells, then aborts every
+  // fail_after = 2: the lone server serves two cells, then aborts every
   // later request — the kill-a-worker CI smoke, in-process and exactly
   // pinned. Three consecutive aborts retire it; the stranded six cells
   // run in the completion sweep.
-  twinsvc::WorkerFaults faults;
+  svc::ServerFaults faults;
   faults.fail_after = 2;
-  auto worker = start_worker(faults);
+  auto worker = start_faulty(faults);
   const CampaignConfig config = fleet_config({worker->endpoint()});
 
   const CampaignOutcome outcome = run_cells(cells_, config);
-  worker->worker->stop();
+  worker->stop();
   ASSERT_EQ(outcome.cells.size(), 8u);
   EXPECT_EQ(outcome.remote_cells, 2u);
   EXPECT_EQ(outcome.local_cells, 6u);
   EXPECT_EQ(outcome.requeues, 3u);
   EXPECT_EQ(outcome.retired_workers, 1u);
-  EXPECT_EQ(worker->handler.cells_served(), 2u);
+  EXPECT_EQ(cells_served(), 2u);
   EXPECT_EQ(counter("campaign.dispatches"), 5u);  // 2 served + 3 aborted
   EXPECT_EQ(counter("campaign.rpc_errors"), 3u);
-  EXPECT_EQ(counter("campaign.worker.aborts"), 3u);
+  EXPECT_EQ(counter("svc.aborts"), 3u);
   EXPECT_EQ(outcome_json(outcome), reference_json_);
 }
 
@@ -209,31 +193,30 @@ TEST_F(CampaignDriver, HealthyWorkerCoversForADyingPeer) {
   // healthy and the dying endpoint plays out, every cell completes and
   // the report matches the reference. (The exact split is timing-
   // dependent; the single-worker tests pin the counters.)
-  auto healthy = start_worker();
-  twinsvc::WorkerFaults faults;
+  auto healthy = test_support::start_server();
+  svc::ServerFaults faults;
   faults.fail_after = 2;
-  auto dying = start_worker(faults);
+  auto dying = start_faulty(faults);
   const CampaignConfig config =
       fleet_config({healthy->endpoint(), dying->endpoint()});
 
   const CampaignOutcome outcome = run_cells(cells_, config);
-  healthy->worker->stop();
-  dying->worker->stop();
+  healthy->stop();
+  dying->stop();
   ASSERT_EQ(outcome.cells.size(), 8u);
   EXPECT_EQ(outcome.remote_cells + outcome.local_cells, 8u);
-  EXPECT_LE(dying->handler.cells_served(), 2u);
-  EXPECT_EQ(healthy->handler.cells_served() + dying->handler.cells_served(),
-            outcome.remote_cells);
+  EXPECT_LE(dying->requests_served(), 2u);
+  EXPECT_EQ(cells_served(), outcome.remote_cells);
   EXPECT_EQ(outcome_json(outcome), reference_json_);
 }
 
 TEST_F(CampaignDriver, StalledWorkerBlowsDeadlinesNotTheCampaign) {
-  // The worker sleeps far past the per-cell deadline on every request.
+  // The server sleeps far past the per-cell deadline on every request.
   // The driver must spend at most worker_failure_limit deadlines before
   // retiring it and finishing locally — bounded wall clock, no hang.
-  twinsvc::WorkerFaults faults;
+  svc::ServerFaults faults;
   faults.stall_ms = 2000;
-  auto worker = start_worker(faults);
+  auto worker = start_faulty(faults);
   CampaignConfig config = fleet_config({worker->endpoint()});
   config.cell_timeout_ms = 200;
   config.worker_failure_limit = 2;
@@ -243,7 +226,7 @@ TEST_F(CampaignDriver, StalledWorkerBlowsDeadlinesNotTheCampaign) {
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - start)
                            .count();
-  worker->worker->stop();
+  worker->stop();
   ASSERT_EQ(outcome.cells.size(), 8u);
   EXPECT_EQ(outcome.remote_cells, 0u);
   EXPECT_EQ(outcome.local_cells, 8u);
@@ -255,17 +238,17 @@ TEST_F(CampaignDriver, StalledWorkerBlowsDeadlinesNotTheCampaign) {
 }
 
 TEST_F(CampaignDriver, CorruptResultFramesAreRejectedAndRerunLocally) {
-  // Every result frame's CRC is wrong: nothing the worker says can be
+  // Every reply's CRC is wrong: nothing the server says can be
   // trusted, so after bounded retries the cells run locally — and the
   // report still matches the reference bit for bit.
-  twinsvc::WorkerFaults faults;
+  svc::ServerFaults faults;
   faults.garbage = true;
-  auto worker = start_worker(faults);
+  auto worker = start_faulty(faults);
   CampaignConfig config = fleet_config({worker->endpoint()});
   config.worker_failure_limit = 3;
 
   const CampaignOutcome outcome = run_cells(cells_, config);
-  worker->worker->stop();
+  worker->stop();
   ASSERT_EQ(outcome.cells.size(), 8u);
   EXPECT_EQ(outcome.remote_cells, 0u);
   EXPECT_EQ(outcome.local_cells, 8u);
@@ -276,7 +259,7 @@ TEST_F(CampaignDriver, CorruptResultFramesAreRejectedAndRerunLocally) {
 
 TEST_F(CampaignDriver, UnreachableFleetDegradesToAllLocal) {
   const twinsvc::Endpoint dead =
-      twinsvc::Endpoint::unix_path("/tmp/amjs_campaign_test_no_worker.sock");
+      twinsvc::Endpoint::unix_path("/tmp/amjs_campaign_test_no_server.sock");
   obs::TraceRecorder sink;
   CampaignConfig config = fleet_config({dead});
   config.cell_timeout_ms = 200;
@@ -298,15 +281,15 @@ TEST_F(CampaignDriver, CellsExhaustedEverywhereStillComplete) {
   // Every dispatch aborts and the failure limit is high enough that the
   // worker is never retired: each cell burns max_remote_attempts, lands
   // in exhausted_cells, and the sweep still finishes the campaign.
-  twinsvc::WorkerFaults faults;
+  svc::ServerFaults faults;
   faults.fail_after = 0;
-  auto worker = start_worker(faults);
+  auto worker = start_faulty(faults);
   CampaignConfig config = fleet_config({worker->endpoint()});
   config.max_remote_attempts = 1;
   config.worker_failure_limit = 100;
 
   const CampaignOutcome outcome = run_cells(cells_, config);
-  worker->worker->stop();
+  worker->stop();
   ASSERT_EQ(outcome.cells.size(), 8u);
   EXPECT_EQ(outcome.remote_cells, 0u);
   EXPECT_EQ(outcome.local_cells, 8u);

@@ -1,8 +1,8 @@
-// campaign.v1 frame family: kRunCell / kCellResult payloads must survive
-// a full encode -> frame decode -> payload decode roundtrip bit-exactly,
-// and every corruption a network can produce — truncation at any byte,
-// payload bit flips, trailing garbage — must surface as a clean Result
-// error, never UB and never a silently wrong cell.
+// Campaign plugin bodies: run-cell / cell-result payloads must survive an
+// encode -> decode roundtrip bit-exactly, and every corruption a network
+// can produce — truncation at any byte, bit flips in the request
+// envelope, trailing garbage — must surface as a clean Result error,
+// never UB and never a silently wrong cell.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -55,12 +55,7 @@ std::string canonical_sim_result(const SimResult& result) {
 
 TEST(CampaignFrame, RunCellRoundTripsBitExactly) {
   const CellRequest cell = sample_cell();
-  const std::string sealed = encode_run_cell(cell);
-
-  auto frame = twinsvc::decode_frame(sealed);
-  ASSERT_TRUE(frame.ok()) << frame.error().to_string();
-  EXPECT_EQ(frame.value().type, twinsvc::FrameType::kRunCell);
-  auto decoded = decode_run_cell(frame.value().payload);
+  auto decoded = decode_run_cell(encode_run_cell_payload(cell));
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
   const CellRequest& got = decoded.value();
 
@@ -108,9 +103,7 @@ TEST(CampaignFrame, InlineTraceWorkloadRoundTrips) {
   cell.workload_kind = WorkloadSpec::Kind::kInline;
   cell.inline_trace = std::move(trace).value();
 
-  auto frame = twinsvc::decode_frame(encode_run_cell(cell));
-  ASSERT_TRUE(frame.ok());
-  auto decoded = decode_run_cell(frame.value().payload);
+  auto decoded = decode_run_cell(encode_run_cell_payload(cell));
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
   EXPECT_EQ(decoded.value().workload_kind, WorkloadSpec::Kind::kInline);
   ASSERT_EQ(decoded.value().inline_trace.size(), 5u);
@@ -124,10 +117,7 @@ TEST(CampaignFrame, CellResultRoundTripsBitExactly) {
   const CellResult result = run_cell(cell);
   ASSERT_TRUE(result.has_fairness);
 
-  auto frame = twinsvc::decode_frame(encode_cell_result(result));
-  ASSERT_TRUE(frame.ok()) << frame.error().to_string();
-  EXPECT_EQ(frame.value().type, twinsvc::FrameType::kCellResult);
-  auto decoded = decode_cell_result(frame.value().payload);
+  auto decoded = decode_cell_result(encode_cell_result_payload(result));
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
 
   EXPECT_EQ(decoded.value().cell_id, result.cell_id);
@@ -140,10 +130,7 @@ TEST(CampaignFrame, CellResultRoundTripsBitExactly) {
 }
 
 TEST(CampaignFrame, RunCellPayloadSurvivesTruncationAtEveryByte) {
-  const std::string sealed = encode_run_cell(sample_cell());
-  auto frame = twinsvc::decode_frame(sealed);
-  ASSERT_TRUE(frame.ok());
-  const std::string& payload = frame.value().payload;
+  const std::string payload = encode_run_cell_payload(sample_cell());
   for (std::size_t len = 0; len < payload.size(); ++len) {
     auto decoded = decode_run_cell(std::string_view(payload).substr(0, len));
     EXPECT_FALSE(decoded.ok()) << "decoded from " << len << " bytes";
@@ -153,10 +140,7 @@ TEST(CampaignFrame, RunCellPayloadSurvivesTruncationAtEveryByte) {
 TEST(CampaignFrame, CellResultPayloadSurvivesTruncationAtEveryByte) {
   CellRequest cell = sample_cell();
   cell.fairness_stride = 3;
-  const std::string sealed = encode_cell_result(run_cell(cell));
-  auto frame = twinsvc::decode_frame(sealed);
-  ASSERT_TRUE(frame.ok());
-  const std::string& payload = frame.value().payload;
+  const std::string payload = encode_cell_result_payload(run_cell(cell));
   for (std::size_t len = 0; len < payload.size(); ++len) {
     auto decoded = decode_cell_result(std::string_view(payload).substr(0, len));
     EXPECT_FALSE(decoded.ok()) << "decoded from " << len << " bytes";
@@ -164,22 +148,21 @@ TEST(CampaignFrame, CellResultPayloadSurvivesTruncationAtEveryByte) {
 }
 
 TEST(CampaignFrame, TrailingBytesAreRejected) {
-  auto run_cell_frame = twinsvc::decode_frame(encode_run_cell(sample_cell()));
-  ASSERT_TRUE(run_cell_frame.ok());
-  auto bad = decode_run_cell(run_cell_frame.value().payload + "x");
+  auto bad = decode_run_cell(encode_run_cell_payload(sample_cell()) + "x");
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.error().to_string().find("trailing"), std::string::npos);
-
-  auto result_frame =
-      twinsvc::decode_frame(encode_cell_result(run_cell(sample_cell())));
-  ASSERT_TRUE(result_frame.ok());
-  EXPECT_FALSE(decode_cell_result(result_frame.value().payload + "x").ok());
+  EXPECT_FALSE(
+      decode_cell_result(encode_cell_result_payload(run_cell(sample_cell())) + "x")
+          .ok());
 }
 
 TEST(CampaignFrame, FrameLayerCatchesPayloadBitFlips) {
-  // Flip one bit at a spread of payload offsets: the sealed frame's CRC
-  // must reject every one before the payload decoder ever runs.
-  const std::string sealed = encode_run_cell(sample_cell());
+  // Flip one bit at a spread of payload offsets: the request envelope's
+  // CRC must reject every one before the payload decoder ever runs.
+  twinsvc::SvcRequest request;
+  request.plugin = static_cast<std::uint32_t>(twinsvc::Plugin::kCampaign);
+  request.body = encode_run_cell_payload(sample_cell());
+  const std::string sealed = twinsvc::encode_svc_request(request);
   for (std::size_t offset = twinsvc::kFrameHeaderSize;
        offset + 4 < sealed.size(); offset += 37) {
     std::string corrupt = sealed;
@@ -194,9 +177,7 @@ TEST(CampaignFrame, UnknownPolicyTokenInPayloadIsRejected) {
   // cannot instantiate; the decoder must reject it, not crash in make().
   CellRequest cell = sample_cell();
   cell.policy_token = "bf9z";
-  auto frame = twinsvc::decode_frame(encode_run_cell(cell));
-  ASSERT_TRUE(frame.ok());
-  EXPECT_FALSE(decode_run_cell(frame.value().payload).ok());
+  EXPECT_FALSE(decode_run_cell(encode_run_cell_payload(cell)).ok());
 }
 
 TEST(CampaignFrame, MismatchedSizeLadderIsRejected) {
@@ -205,9 +186,7 @@ TEST(CampaignFrame, MismatchedSizeLadderIsRejected) {
   // read succeeds.
   CellRequest cell = sample_cell();
   cell.synthetic.size_weights = {0.6, 0.4};  // sizes has 3 entries
-  auto frame = twinsvc::decode_frame(encode_run_cell(cell));
-  ASSERT_TRUE(frame.ok());
-  auto decoded = decode_run_cell(frame.value().payload);
+  auto decoded = decode_run_cell(encode_run_cell_payload(cell));
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.error().to_string().find("mismatch"), std::string::npos);
 }

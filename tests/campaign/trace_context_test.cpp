@@ -1,8 +1,8 @@
 // Distributed-trace conformance on a loopback campaign: the driver's
-// "rpc" spans and the workers' "serve_cell" spans join completely through
+// "rpc" spans and the servers' "request" spans join completely through
 // obs/context (no orphans, every dispatch served), the merged canonical
 // JSONL and summary are byte-identical across identical runs, the fleet
-// fold mirrors the workers' own registry values, and every metric name a
+// fold mirrors the servers' own registry values, and every metric name a
 // campaign touches is documented in the catalog.
 #include <gtest/gtest.h>
 
@@ -13,29 +13,27 @@
 
 #include "analysis/merge.hpp"
 #include "campaign/driver.hpp"
-#include "campaign/service.hpp"
 #include "obs/catalog.hpp"
 #include "obs/context.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "support/test_server.hpp"
 #include "twinsvc/stats.hpp"
-#include "twinsvc/worker.hpp"
 
 namespace amjs::campaign {
 namespace {
 
 constexpr std::uint64_t kRunId = 42;
 
-/// One in-process "worker process": the real TwinWorker + campaign
-/// extension, with its own recorder standing in for the per-process
-/// JSONL trace a twin_worker writes.
+/// One in-process "server process": a real SchedServer with its own
+/// recorder standing in for the per-process JSONL trace a sched_server
+/// writes (declared first, so it outlives the server).
 struct WorkerHarness {
-  CampaignCellHandler handler;
   obs::TraceRecorder recorder;
-  std::unique_ptr<twinsvc::TwinWorker> worker;
+  std::unique_ptr<svc::SchedServer> server;
 
   [[nodiscard]] twinsvc::Endpoint endpoint() const {
-    return worker->endpoint();
+    return server->endpoint();
   }
 };
 
@@ -71,16 +69,9 @@ class TraceConformance : public ::testing::Test {
 
   [[nodiscard]] std::unique_ptr<WorkerHarness> start_worker() {
     auto harness = std::make_unique<WorkerHarness>();
-    harness->handler.set_trace_sink(&harness->recorder);
-    auto listener =
-        twinsvc::Listener::bind(twinsvc::Endpoint::tcp("127.0.0.1", 0));
-    EXPECT_TRUE(listener.ok());
-    twinsvc::WorkerConfig config;
-    config.threads = 1;
-    config.extension = &harness->handler;
-    harness->worker = std::make_unique<twinsvc::TwinWorker>(
-        std::move(listener).value(), config);
-    harness->worker->start();
+    svc::ServerConfig config;
+    config.trace_sink = &harness->recorder;
+    harness->server = test_support::start_server(config);
     return harness;
   }
 
@@ -130,7 +121,7 @@ TEST_F(TraceConformance, LoopbackCampaignJoinsWithZeroOrphans) {
     EXPECT_EQ(pair.context.run_id, kRunId);
     EXPECT_EQ(pair.context.ordinal, 1u);
     EXPECT_EQ(pair.driver_span.name, "rpc");
-    EXPECT_EQ(pair.worker_span.name, "serve_cell");
+    EXPECT_EQ(pair.worker_span.name, "request");
     EXPECT_GT(pair.worker_process, 0u);  // served by w1 or w2, not the driver
   }
 }
@@ -165,13 +156,13 @@ TEST_F(TraceConformance, FleetFoldMirrorsTheWorkersOwnRegistry) {
   twinsvc::FleetMonitor monitor({w1->endpoint()});
   ASSERT_EQ(monitor.poll_once(), 1u);
 
-  // In-process harness: the "worker's own registry" is the global one, so
-  // the fold must land exactly the values the worker would print itself.
+  // In-process harness: the "server's own registry" is the global one, so
+  // the fold must land exactly the values the server would print itself.
   auto& registry = obs::Registry::global();
   const std::string prefix = "fleet." + w1->endpoint().to_string() + ".";
-  EXPECT_EQ(registry.counter(prefix + "campaign.worker.cells").value(),
-            registry.counter("campaign.worker.cells").value());
-  EXPECT_EQ(registry.counter("campaign.worker.cells").value(), cells_.size());
+  EXPECT_EQ(registry.counter(prefix + "svc.plugin.campaign").value(),
+            registry.counter("svc.plugin.campaign").value());
+  EXPECT_EQ(registry.counter("svc.plugin.campaign").value(), cells_.size());
   EXPECT_GE(registry.gauge(prefix + "heartbeat_age_ms").value(), 0);
 }
 

@@ -24,20 +24,19 @@ TEST(Catalog, IsSortedByNameWithNoDuplicates) {
 }
 
 TEST(Catalog, FindIsExact) {
-  const CatalogEntry* entry = catalog_find("campaign.worker.cells");
+  const CatalogEntry* entry = catalog_find("svc.plugin.campaign");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->kind, MetricKind::kCounter);
-  EXPECT_EQ(catalog_find("campaign.worker"), nullptr);
-  EXPECT_EQ(catalog_find("campaign.worker.cells2"), nullptr);
+  EXPECT_EQ(catalog_find("svc.plugin"), nullptr);
+  EXPECT_EQ(catalog_find("svc.plugin.campaign2"), nullptr);
   EXPECT_EQ(catalog_find(""), nullptr);
 }
 
 TEST(Catalog, ContainsAcceptsFleetFoldsOfDocumentedNames) {
-  EXPECT_TRUE(catalog_contains("twinsvc.worker.requests"));
-  EXPECT_TRUE(
-      catalog_contains("fleet.tcp:127.0.0.1:9000.twinsvc.worker.requests"));
+  EXPECT_TRUE(catalog_contains("svc.requests"));
+  EXPECT_TRUE(catalog_contains("fleet.tcp:127.0.0.1:9000.svc.requests"));
   // Endpoint segments may contain dots; the rule matches on the suffix.
-  EXPECT_TRUE(catalog_contains("fleet.unix:/tmp/w1.sock.campaign.worker.cells"));
+  EXPECT_TRUE(catalog_contains("fleet.unix:/tmp/w1.sock.svc.plugin.campaign"));
   // Driver-minted per-endpoint meta gauge with no global entry of its own.
   EXPECT_TRUE(catalog_contains("fleet.tcp:127.0.0.1:9000.heartbeat_age_ms"));
 }
@@ -46,7 +45,7 @@ TEST(Catalog, ContainsRejectsUndocumentedNames) {
   EXPECT_FALSE(catalog_contains("made.up.counter"));
   EXPECT_FALSE(catalog_contains("fleet.tcp:127.0.0.1:9000.made.up"));
   EXPECT_FALSE(catalog_contains("heartbeat_age_ms"));  // fleet-only gauge
-  EXPECT_FALSE(catalog_contains("fleetX.tcp:1.twinsvc.worker.requests"));
+  EXPECT_FALSE(catalog_contains("fleetX.tcp:1.svc.requests"));
 }
 
 TEST(Catalog, MetricKindNamesRenderForTheDesignTable) {

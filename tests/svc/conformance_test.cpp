@@ -20,6 +20,7 @@
 #include "obs/catalog.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "support/test_server.hpp"
 #include "svc/client.hpp"
 #include "svc/facade.hpp"
 #include "svc/frame.hpp"
@@ -28,28 +29,17 @@
 namespace amjs::svc {
 namespace {
 
-DatasetSpec small_spec(std::string label, MachineSpec machine) {
-  DatasetSpec spec;
-  spec.label = std::move(label);
-  spec.machine = machine;
-  spec.seed = 2012;
-  spec.horizon = days(1);
-  spec.base_rate_per_hour = 6.0;
-  spec.snapshot_check = 4;
-  spec.twin.horizon = hours(2);
-  return spec;
+// BF {0.5, 1} x W {1, 4}: W=4 is the one svc-level window search past
+// two permutations.
+std::vector<TwinCandidateSpec> grid_candidates() {
+  return test_support::grid_candidates({0.5, 1.0}, {1, 4});
 }
 
-std::vector<TwinCandidateSpec> grid_candidates() {
-  std::vector<TwinCandidateSpec> candidates;
-  for (const double bf : {0.5, 1.0}) {
-    for (const int w : {1, 4}) {
-      MetricAwareConfig cfg;
-      cfg.policy = {bf, w};
-      candidates.push_back({cfg.policy.label(), cfg});
-    }
-  }
-  return candidates;
+DatasetSpec small_spec(std::string label, MachineSpec machine) {
+  DatasetSpec spec = test_support::small_dataset_spec();
+  spec.label = std::move(label);
+  spec.machine = machine;
+  return spec;
 }
 
 Job probe_job(NodeCount nodes, Duration walltime, SimTime submit = 0) {
@@ -66,20 +56,11 @@ Job probe_job(NodeCount nodes, Duration walltime, SimTime submit = 0) {
 class SvcConformance : public ::testing::Test {
  protected:
   void start(const DatasetSpec& spec) {
-    spec_ = spec;
+    // The server builds its own copy of this (deterministic) dataset.
     auto dataset = make_dataset(spec);
     ASSERT_TRUE(dataset.ok()) << dataset.error().to_string();
-    dataset_ = dataset.value();
-    auto world = World::build(std::move(dataset).value(), /*version=*/1);
-    ASSERT_TRUE(world.ok()) << world.error().to_string();
-    auto listener =
-        twinsvc::Listener::bind(twinsvc::Endpoint::tcp("127.0.0.1", 0));
-    ASSERT_TRUE(listener.ok()) << listener.error().to_string();
-    ServerConfig config;
-    config.threads = 1;  // pin the what-if fan-out for the local replays
-    server_ = std::make_unique<SchedServer>(std::move(listener).value(),
-                                            std::move(world).value(), config);
-    server_->start();
+    dataset_ = std::move(dataset).value();
+    server_ = test_support::start_server({}, spec);
     ClientConfig client_config;
     client_config.endpoint = server_->endpoint();
     client_ = std::make_unique<SvcClient>(client_config);
@@ -118,7 +99,6 @@ class SvcConformance : public ::testing::Test {
     return encode_verdicts(results);
   }
 
-  DatasetSpec spec_;
   Dataset dataset_;
   std::unique_ptr<SchedServer> server_;
   std::unique_ptr<SvcClient> client_;

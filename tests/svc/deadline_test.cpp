@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "obs/registry.hpp"
+#include "support/test_server.hpp"
 #include "svc/client.hpp"
 #include "svc/facade.hpp"
 #include "svc/frame.hpp"
@@ -52,22 +53,7 @@ class SvcDeadline : public ::testing::Test {
   }
 
   void start(ServerConfig config) {
-    DatasetSpec spec;
-    spec.machine = MachineSpec::flat(100);
-    spec.horizon = days(1);
-    spec.snapshot_check = 4;
-    spec.twin.horizon = hours(2);
-    auto dataset = make_dataset(spec);
-    ASSERT_TRUE(dataset.ok()) << dataset.error().to_string();
-    auto world = World::build(std::move(dataset).value(), /*version=*/1);
-    ASSERT_TRUE(world.ok()) << world.error().to_string();
-    auto listener =
-        twinsvc::Listener::bind(twinsvc::Endpoint::tcp("127.0.0.1", 0));
-    ASSERT_TRUE(listener.ok());
-    config.threads = 1;
-    server_ = std::make_unique<SchedServer>(std::move(listener).value(),
-                                            std::move(world).value(), config);
-    server_->start();
+    server_ = test_support::start_server(config);
     obs::Registry::global().reset_values();  // drop build-time samples
     client_ = std::make_unique<SvcClient>(client_config());
   }

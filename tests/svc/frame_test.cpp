@@ -1,9 +1,11 @@
-// svc.v1 wire format and server hardening: round-trips are lossless,
+// Request envelope and server hardening: round-trips are lossless,
 // every corruption of a request frame — truncation at any prefix, any
 // flipped byte, a CRC single-bit flip, a stale protocol version, an
-// oversized declared length — is rejected with kError while the server
-// stays up, and the svc.rejected.* counters pin the exact rejection
-// path taken. Mirrors tests/twinsvc/frame_test.cpp one layer up.
+// oversized declared length, a crafted machine spec, an eval snapshot
+// that does not fit its trace or machine — is rejected with
+// kError while the server stays up, and the svc.rejected.* counters pin
+// the exact rejection path taken. Mirrors tests/twinsvc/frame_test.cpp
+// one layer up.
 #include "svc/frame.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/frame.hpp"
 #include "obs/registry.hpp"
+#include "support/test_server.hpp"
 #include "svc/client.hpp"
 #include "svc/facade.hpp"
 #include "svc/server.hpp"
@@ -26,6 +30,7 @@ namespace {
 SvcRequest sample_request() {
   SvcRequest request;
   request.request_id = 42;
+  request.context = {7, 42, obs::dispatch_span_id(42, 1), 1};
   request.plugin = static_cast<std::uint32_t>(Plugin::kSubmitJob);
   request.deadline_ms = 0;
   Job job;
@@ -46,6 +51,7 @@ TEST(SvcFrame, RequestReplyBusyRoundTripLossless) {
   auto decoded = decode_svc_request(frame.value().payload);
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
   EXPECT_EQ(decoded.value().request_id, 42u);
+  EXPECT_EQ(decoded.value().context, request.context);
   EXPECT_EQ(decoded.value().plugin,
             static_cast<std::uint32_t>(Plugin::kSubmitJob));
   EXPECT_EQ(decoded.value().deadline_ms, 0);
@@ -143,25 +149,9 @@ class SvcFrameServer : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::Registry::set_enabled(true);
-    obs::Registry::global().reset_values();
-    DatasetSpec spec;
-    spec.machine = MachineSpec::flat(100);
-    spec.horizon = days(1);
-    spec.snapshot_check = 4;
-    spec.twin.horizon = hours(2);
-    auto dataset = make_dataset(spec);
-    ASSERT_TRUE(dataset.ok()) << dataset.error().to_string();
-    auto world = World::build(std::move(dataset).value(), /*version=*/1);
-    ASSERT_TRUE(world.ok()) << world.error().to_string();
-    auto listener =
-        twinsvc::Listener::bind(twinsvc::Endpoint::tcp("127.0.0.1", 0));
-    ASSERT_TRUE(listener.ok());
     ServerConfig config;
-    config.threads = 1;
     config.io_timeout_ms = 2000;
-    server_ = std::make_unique<SchedServer>(std::move(listener).value(),
-                                            std::move(world).value(), config);
-    server_->start();
+    server_ = test_support::start_server(config);
     obs::Registry::global().reset_values();  // drop build-time samples
   }
 
@@ -263,7 +253,7 @@ TEST_F(SvcFrameServer, CrcSingleBitFlipGetsErrorNamingCrc) {
 
 TEST_F(SvcFrameServer, StaleProtocolVersionGetsErrorNamingBothVersions) {
   std::string bytes = encode_svc_request(sample_request());
-  bytes[twinsvc::kFrameMagic.size()] = 2;  // version u32 -> 2
+  bytes[twinsvc::kFrameMagic.size()] = 1;  // a version-1 peer
   auto socket = connect();
   ASSERT_TRUE(socket.ok()) << socket.error().to_string();
   ASSERT_TRUE(twinsvc::send_frame(socket.value(), bytes, 1000).ok());
@@ -311,12 +301,13 @@ TEST_F(SvcFrameServer, UnknownFrameTypeCountedAsFrameReject) {
 }
 
 TEST_F(SvcFrameServer, NonSvcFrameRejectedAtDispatch) {
-  // A well-formed twinsvc frame of the wrong family (an eval-done): the
-  // frame layer accepts it, dispatch rejects it and drops the line.
+  // A well-formed frame that is no request (an error frame): the frame
+  // layer accepts it, dispatch rejects it and drops the line.
   auto socket = connect();
   ASSERT_TRUE(socket.ok()) << socket.error().to_string();
   ASSERT_TRUE(twinsvc::send_frame(
-                  socket.value(), twinsvc::encode_done(twinsvc::DoneFrame{1, 0}), 1000)
+                  socket.value(), twinsvc::encode_error(twinsvc::ErrorFrame{1, "x"}),
+                  1000)
                   .ok());
   auto reply = twinsvc::recv_frame(socket.value(), 2000);
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();
@@ -373,6 +364,82 @@ TEST_F(SvcFrameServer, MalformedSvcPayloadCountedAsFrameReject) {
   EXPECT_EQ(reply.value().type, twinsvc::FrameType::kError);
   wait_for_counter("svc.rejected.frame", 1);
   expect_server_alive();
+}
+
+TEST_F(SvcFrameServer, CraftedMachineSpecGetsErrorNotACrash) {
+  // row_leaves = rows = 65536: the int leaf product used to wrap to 0,
+  // pass validation, and abort the whole server when a plugin built the
+  // machine. Each plugin that decodes a machine spec must answer with a
+  // request-level kError, and the connection must serve the next request.
+  PartitionConfig topology;
+  topology.row_leaves = 65536;
+  topology.rows = 65536;
+  const MachineSpec crafted = MachineSpec::partitioned(topology);
+  DatasetSpec reload = test_support::small_dataset_spec();
+  reload.machine = crafted;
+  campaign::CellRequest cell;
+  cell.policy_token = "base";
+  cell.machine = crafted;
+  twinsvc::EvalRequest eval;
+  eval.machine = crafted;
+  eval.trace = test_support::contended_trace();
+  eval.snapshot = test_support::snapshot_at(MachineSpec::flat(100), eval.trace, 4);
+  auto eval_body = twinsvc::encode_eval_request(eval);
+  ASSERT_TRUE(eval_body.ok()) << eval_body.error().to_string();
+
+  ClientConfig config;
+  config.endpoint = server_->endpoint();
+  SvcClient client(config);
+  for (const auto& [plugin, body] :
+       {std::pair{Plugin::kReload, encode_dataset_spec(reload)},
+        std::pair{Plugin::kCampaign, campaign::encode_run_cell_payload(cell)},
+        std::pair{Plugin::kEval, eval_body.value()}}) {
+    auto reply = client.call(plugin, body);
+    ASSERT_FALSE(reply.ok()) << to_string(plugin);
+    EXPECT_NE(reply.error().to_string().find("invalid machine spec"),
+              std::string::npos)
+        << reply.error().to_string();
+    Job job;
+    job.id = 1;
+    job.walltime = 3600;
+    job.nodes = 10;
+    EXPECT_TRUE(client.submit_job(job).ok()) << "after " << to_string(plugin);
+  }
+}
+
+TEST_F(SvcFrameServer, MismatchedEvalSnapshotGetsErrorNotACrash) {
+  // Simulator::resume only asserts that a snapshot fits its trace and
+  // machine, and release builds drop the assert: the eval plugin must
+  // refuse a partition snapshot under a flat spec, and a snapshot of
+  // another trace, before a fork indexes past them.
+  const JobTrace trace = test_support::contended_trace();
+  twinsvc::EvalRequest other_machine;
+  other_machine.machine = MachineSpec::flat(100);
+  other_machine.trace = trace;
+  other_machine.snapshot =
+      test_support::snapshot_at(MachineSpec::partitioned(), trace, 4);
+  other_machine.candidates = test_support::grid_candidates();
+  twinsvc::EvalRequest other_trace = other_machine;
+  other_trace.trace = trace.prefix(30);
+  other_trace.snapshot = test_support::snapshot_at(MachineSpec::flat(100), trace, 4);
+
+  ClientConfig config;
+  config.endpoint = server_->endpoint();
+  SvcClient client(config);
+  for (const twinsvc::EvalRequest* eval : {&other_machine, &other_trace}) {
+    auto body = twinsvc::encode_eval_request(*eval);
+    ASSERT_TRUE(body.ok()) << body.error().to_string();
+    auto reply = client.call(Plugin::kEval, body.value());
+    ASSERT_FALSE(reply.ok());
+    EXPECT_NE(reply.error().to_string().find("request snapshot"),
+              std::string::npos)
+        << reply.error().to_string();
+    Job job;
+    job.id = 1;
+    job.walltime = 3600;
+    job.nodes = 10;
+    EXPECT_TRUE(client.submit_job(job).ok()) << "after " << reply.error().to_string();
+  }
 }
 
 }  // namespace

@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "support/test_server.hpp"
 #include "svc/client.hpp"
 #include "svc/facade.hpp"
 #include "svc/frame.hpp"
 #include "svc/server.hpp"
-#include "twinsvc/socket.hpp"
 
 namespace amjs::svc {
 namespace {
@@ -30,13 +30,9 @@ constexpr std::uint64_t kRequestsPerThread = 24;
 constexpr std::uint64_t kReloads = 4;
 
 DatasetSpec soak_spec(std::string label, std::uint64_t seed) {
-  DatasetSpec spec;
+  DatasetSpec spec = test_support::small_dataset_spec();
   spec.label = std::move(label);
-  spec.machine = MachineSpec::flat(100);
   spec.seed = seed;
-  spec.horizon = days(1);
-  spec.snapshot_check = 4;
-  spec.twin.horizon = hours(2);
   return spec;
 }
 
@@ -127,23 +123,15 @@ void run_worker(const ClientConfig& config, unsigned ordinal,
 }
 
 TEST(SvcSoak, MixedTrafficSurvivesHotSwapsWithZeroErrors) {
-  auto dataset = make_dataset(soak_spec("soak-boot", 2012));
-  ASSERT_TRUE(dataset.ok()) << dataset.error().to_string();
-  auto world = World::build(std::move(dataset).value(), /*version=*/1);
-  ASSERT_TRUE(world.ok()) << world.error().to_string();
-  auto listener =
-      twinsvc::Listener::bind(twinsvc::Endpoint::tcp("127.0.0.1", 0));
-  ASSERT_TRUE(listener.ok());
   ServerConfig config;
-  config.threads = 1;
   // Enough headroom that nothing is shed: kClientThreads workers plus
   // the reloader never exceed max_inflight, so every request must be a
   // clean reply — busy would be a failure here, not an allowed outcome.
   config.max_inflight = 8;
   config.max_queue = 32;
-  SchedServer server(std::move(listener).value(), std::move(world).value(),
-                     config);
-  server.start();
+  const auto owned =
+      test_support::start_server(config, soak_spec("soak-boot", 2012));
+  SchedServer& server = *owned;
 
   ClientConfig client_config;
   client_config.endpoint = server.endpoint();

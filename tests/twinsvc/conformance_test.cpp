@@ -1,7 +1,8 @@
-// Conformance: remote twin verdicts must be bit-identical to the
-// in-process TwinEngine's — same labels, same bit-pattern scores, same
-// adoption decisions — over a real loopback socket pair. If these hold,
-// `--twin-remote` changes who does the work, never what the tuner decides.
+// Conformance: remote twin verdicts (the eval plugin) must be
+// bit-identical to the in-process TwinEngine's — same labels, same
+// bit-pattern scores, same adoption decisions — over a real loopback
+// socket pair. If these hold, `--twin-remote` changes who does the work,
+// never what the tuner decides.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,177 +12,84 @@
 
 #include "core/what_if.hpp"
 #include "sim/result.hpp"
-#include "sim/snapshot.hpp"
+#include "support/test_server.hpp"
 #include "twinsvc/client.hpp"
-#include "twinsvc/worker.hpp"
 
 namespace amjs::twinsvc {
 namespace {
 
-JobTrace contended_trace() {
-  std::vector<Job> jobs;
-  for (int i = 0; i < 40; ++i) {
-    Job j;
-    j.submit = i * 350;
-    j.runtime = 1200 + (i % 5) * 900;
-    j.walltime = j.runtime + 600;
-    j.nodes = 20 + (i % 4) * 15;
-    jobs.push_back(j);
+using test_support::contended_trace;
+using test_support::grid_candidates;
+using test_support::same_verdicts;
+using test_support::snapshot_at;
+using test_support::start_server;
+using test_support::twin_config;
+
+/// Score `candidates` over `servers` and in-process; both must agree
+/// bit for bit. Returns the requests the servers answered.
+std::uint64_t expect_remote_matches_local(
+    const MachineSpec& machine, const JobTrace& trace,
+    const SimSnapshot& snapshot,
+    const std::vector<TwinCandidateSpec>& candidates, std::size_t servers) {
+  std::vector<std::unique_ptr<svc::SchedServer>> fleet;
+  RemoteTwinConfig config;
+  for (std::size_t i = 0; i < servers; ++i) {
+    fleet.push_back(start_server());
+    config.workers.push_back(fleet.back()->endpoint());
   }
-  auto t = JobTrace::from_jobs(std::move(jobs));
-  EXPECT_TRUE(t.ok());
-  return std::move(t).value();
-}
-
-SimSnapshot snapshot_at(const MachineSpec& machine, const JobTrace& trace,
-                        std::size_t check_index) {
-  SimSnapshot snapshot;
-  SimConfig config;
-  config.snapshot_sink = [&](const SimSnapshot& s) {
-    if (s.check_index == check_index) snapshot = s;
-  };
-  auto live = machine.make();
-  MetricAwareScheduler sched;
-  Simulator sim(*live, sched, config);
-  (void)sim.run(trace);
-  EXPECT_TRUE(snapshot.valid());
-  return snapshot;
-}
-
-std::vector<TwinCandidateSpec> grid_candidates() {
-  std::vector<TwinCandidateSpec> candidates;
-  for (const double bf : {0.2, 0.5, 1.0}) {
-    for (const int w : {1, 2}) {
-      MetricAwareConfig cfg;
-      cfg.policy = {bf, w};
-      candidates.push_back({cfg.policy.label(), cfg});
-    }
+  config.twin = twin_config();
+  RemoteTwinEngine remote(machine, config);
+  auto remote_results = remote.evaluate(trace, snapshot, candidates);
+  LocalTwinBackend local(machine.factory(), twin_config());
+  auto local_results = local.evaluate(trace, snapshot, candidates);
+  std::uint64_t served = 0;
+  for (auto& server : fleet) {
+    server->stop();
+    served += server->requests_served();
   }
-  return candidates;
-}
-
-TwinConfig twin_config() {
-  TwinConfig twin;
-  twin.horizon = hours(2);
-  twin.threads = 1;
-  return twin;
-}
-
-/// Bit-identical on every field except wall_ms (the one wall-clock field).
-void expect_identical(const std::vector<TwinForkResult>& remote,
-                      const std::vector<TwinForkResult>& local) {
-  ASSERT_EQ(remote.size(), local.size());
-  for (std::size_t i = 0; i < remote.size(); ++i) {
-    EXPECT_EQ(remote[i].label, local[i].label);
-    EXPECT_EQ(remote[i].avg_queue_depth_min, local[i].avg_queue_depth_min);
-    EXPECT_EQ(remote[i].utilization, local[i].utilization);
-    EXPECT_EQ(remote[i].objective, local[i].objective);
-    EXPECT_EQ(remote[i].jobs_started, local[i].jobs_started);
-  }
-}
-
-/// A worker serving a kernel-picked loopback tcp port.
-std::unique_ptr<TwinWorker> start_worker(WorkerConfig config = {}) {
-  auto listener = Listener::bind(Endpoint::tcp("127.0.0.1", 0));
-  EXPECT_TRUE(listener.ok());
-  auto worker =
-      std::make_unique<TwinWorker>(std::move(listener).value(), config);
-  worker->start();
-  return worker;
+  EXPECT_TRUE(remote_results.ok());
+  EXPECT_TRUE(local_results.ok());
+  EXPECT_TRUE(same_verdicts(remote_results.value(), local_results.value()));
+  // Identical verdicts imply the identical adoption decision.
+  EXPECT_EQ(TwinEngine::best_index(remote_results.value()),
+            TwinEngine::best_index(local_results.value()));
+  return served;
 }
 
 TEST(TwinsvcConformance, LoopbackVerdictsBitIdenticalToLocal) {
   const MachineSpec machine = MachineSpec::flat(100);
   const auto trace = contended_trace();
-  const auto snapshot = snapshot_at(machine, trace, 4);
-  const auto candidates = grid_candidates();
-
-  auto worker = start_worker();
-  RemoteTwinConfig config;
-  config.workers = {worker->endpoint()};
-  config.twin = twin_config();
-  RemoteTwinEngine remote(machine, config);
-  auto remote_results = remote.evaluate(trace, snapshot, candidates);
-
-  LocalTwinBackend local(machine.factory(), twin_config());
-  auto local_results = local.evaluate(trace, snapshot, candidates);
-  worker->stop();
-
-  ASSERT_TRUE(remote_results.ok());
-  ASSERT_TRUE(local_results.ok());
   // The consult must actually have been served remotely — a silent
   // fallback would make this test vacuous.
-  EXPECT_GE(worker->requests_served(), 1u);
-  expect_identical(remote_results.value(), local_results.value());
-  // Identical verdicts imply the identical adoption decision.
-  EXPECT_EQ(TwinEngine::best_index(remote_results.value()),
-            TwinEngine::best_index(local_results.value()));
+  EXPECT_EQ(expect_remote_matches_local(machine, trace,
+                                        snapshot_at(machine, trace, 4),
+                                        grid_candidates(), 1),
+            1u);
 }
 
 TEST(TwinsvcConformance, ShardingAcrossWorkersPreservesOrderAndBits) {
   const MachineSpec machine = MachineSpec::flat(100);
   const auto trace = contended_trace();
-  const auto snapshot = snapshot_at(machine, trace, 4);
-  const auto candidates = grid_candidates();  // 6 candidates over 3 workers
-
-  auto w1 = start_worker();
-  auto w2 = start_worker();
-  auto w3 = start_worker();
-  RemoteTwinConfig config;
-  config.workers = {w1->endpoint(), w2->endpoint(), w3->endpoint()};
-  config.twin = twin_config();
-  RemoteTwinEngine remote(machine, config);
-  auto remote_results = remote.evaluate(trace, snapshot, candidates);
-
-  LocalTwinBackend local(machine.factory(), twin_config());
-  auto local_results = local.evaluate(trace, snapshot, candidates);
-  const std::uint64_t served = w1->requests_served() +
-                               w2->requests_served() +
-                               w3->requests_served();
-  w1->stop();
-  w2->stop();
-  w3->stop();
-
-  ASSERT_TRUE(remote_results.ok());
-  ASSERT_TRUE(local_results.ok());
-  EXPECT_EQ(served, 3u);  // one chunk per worker
-  expect_identical(remote_results.value(), local_results.value());
+  // 6 candidates over 3 servers: one chunk per server.
+  EXPECT_EQ(expect_remote_matches_local(machine, trace,
+                                        snapshot_at(machine, trace, 4),
+                                        grid_candidates(), 3),
+            3u);
 }
 
 TEST(TwinsvcConformance, UnevenShardingServesEveryCandidate) {
-  // 5 candidates over 4 workers: ceil-division sharding used to push the
+  // 5 candidates over 4 servers: ceil-division sharding used to push the
   // last chunk's begin past end() (UB in the vector range constructor).
-  // The balanced split must give every worker a non-empty contiguous
+  // The balanced split must give every server a non-empty contiguous
   // chunk and lose no candidate.
   const MachineSpec machine = MachineSpec::flat(100);
   const auto trace = contended_trace();
-  const auto snapshot = snapshot_at(machine, trace, 4);
   auto candidates = grid_candidates();
   candidates.pop_back();
-  ASSERT_EQ(candidates.size(), 5u);
-
-  std::vector<std::unique_ptr<TwinWorker>> workers;
-  RemoteTwinConfig config;
-  for (int i = 0; i < 4; ++i) {
-    workers.push_back(start_worker());
-    config.workers.push_back(workers.back()->endpoint());
-  }
-  config.twin = twin_config();
-  RemoteTwinEngine remote(machine, config);
-  auto remote_results = remote.evaluate(trace, snapshot, candidates);
-
-  LocalTwinBackend local(machine.factory(), twin_config());
-  auto local_results = local.evaluate(trace, snapshot, candidates);
-  std::uint64_t served = 0;
-  for (auto& worker : workers) {
-    served += worker->requests_served();
-    worker->stop();
-  }
-
-  ASSERT_TRUE(remote_results.ok());
-  ASSERT_TRUE(local_results.ok());
-  EXPECT_EQ(served, 4u);  // every chunk non-empty, one per worker
-  expect_identical(remote_results.value(), local_results.value());
+  EXPECT_EQ(expect_remote_matches_local(machine, trace,
+                                        snapshot_at(machine, trace, 4),
+                                        candidates, 4),
+            4u);
 }
 
 TEST(TwinsvcConformance, RepeatedConsultsAreStable) {
@@ -190,17 +98,17 @@ TEST(TwinsvcConformance, RepeatedConsultsAreStable) {
   const auto snapshot = snapshot_at(machine, trace, 4);
   const auto candidates = grid_candidates();
 
-  auto worker = start_worker();
+  auto server = start_server();
   RemoteTwinConfig config;
-  config.workers = {worker->endpoint()};
+  config.workers = {server->endpoint()};
   config.twin = twin_config();
   RemoteTwinEngine remote(machine, config);
   auto first = remote.evaluate(trace, snapshot, candidates);
   auto second = remote.evaluate(trace, snapshot, candidates);
-  worker->stop();
+  server->stop();
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  expect_identical(first.value(), second.value());
+  EXPECT_TRUE(same_verdicts(first.value(), second.value()));
 }
 
 /// End-to-end: a full WhatIfTuner run whose every consult goes through
@@ -227,16 +135,15 @@ TEST(TwinsvcConformance, WhatIfRunByteIdenticalUnderRemoteBackend) {
 
   const std::string local_json = run_with(nullptr);
 
-  auto worker = start_worker();
+  auto server = start_server();
   RemoteTwinConfig remote_config;
-  remote_config.workers = {worker->endpoint()};
+  remote_config.workers = {server->endpoint()};
   remote_config.twin = twin_config();
   const std::string remote_json = run_with(
       std::make_shared<RemoteTwinEngine>(machine, remote_config));
-  const std::uint64_t served = worker->requests_served();
-  worker->stop();
+  server->stop();
 
-  EXPECT_GE(served, 1u);
+  EXPECT_GE(server->requests_served(), 1u);
   EXPECT_EQ(remote_json, local_json);
 }
 
@@ -262,24 +169,10 @@ TEST(TwinsvcConformance, PartitionMachineSpecConforms) {
   auto built = JobTrace::from_jobs(std::move(jobs));
   ASSERT_TRUE(built.ok());
   const JobTrace trace = std::move(built).value();
-  const auto snapshot = snapshot_at(machine, trace, 2);
-  const auto candidates = grid_candidates();
-
-  auto worker = start_worker();
-  RemoteTwinConfig config;
-  config.workers = {worker->endpoint()};
-  config.twin = twin_config();
-  RemoteTwinEngine remote(machine, config);
-  auto remote_results = remote.evaluate(trace, snapshot, candidates);
-
-  LocalTwinBackend local(machine.factory(), twin_config());
-  auto local_results = local.evaluate(trace, snapshot, candidates);
-  worker->stop();
-
-  ASSERT_TRUE(remote_results.ok());
-  ASSERT_TRUE(local_results.ok());
-  EXPECT_GE(worker->requests_served(), 1u);
-  expect_identical(remote_results.value(), local_results.value());
+  EXPECT_EQ(expect_remote_matches_local(machine, trace,
+                                        snapshot_at(machine, trace, 2),
+                                        grid_candidates(), 1),
+            1u);
 }
 
 }  // namespace

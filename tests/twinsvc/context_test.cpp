@@ -1,5 +1,5 @@
 // Trace-context wire block (DESIGN.md "Distributed observability"):
-// lossless round-trips, in-place patching of sealed frames, and the
+// lossless round-trips, its place in the request envelope, and the
 // corruption matrix — truncation at every prefix, a stale block version,
 // bit flips after sealing — must all surface as clean errors, never a
 // wrong decode.
@@ -25,17 +25,6 @@ obs::TraceContext sample_context() {
   ctx.ordinal = 3;
   ctx.parent_span = obs::dispatch_span_id(ctx.request_id, ctx.ordinal);
   return ctx;
-}
-
-/// A sealed kEvalRequest-shaped frame: leading u64 id, the context block
-/// at the fixed offset, and a tail that must survive patching untouched.
-std::string sealed_frame(const obs::TraceContext& ctx,
-                         FrameType type = FrameType::kEvalRequest) {
-  ByteWriter w;
-  w.u64(42);
-  write_trace_context(w, ctx);
-  w.str("payload-tail");
-  return seal_frame(type, w.data());
 }
 
 TEST(TraceContext, WireRoundTripIsLossless) {
@@ -83,59 +72,20 @@ TEST(TraceContext, StaleBlockVersionIsRejectedByName) {
       << decoded.error().to_string();
 }
 
-TEST(TraceContext, PatchRestampsASealedFrameInPlace) {
-  // The driver encodes once with an empty context and re-stamps per
-  // attempt; the patched frame must stay CRC-valid with the tail intact.
-  std::string frame = sealed_frame(obs::TraceContext{});
-  const obs::TraceContext ctx = sample_context();
-  ASSERT_TRUE(patch_trace_context(frame, ctx).ok());
-
+TEST(TraceContext, BitFlipInsideThePatchedBlockFailsTheFrameCrc) {
+  // Each attempt stamps its context into a fresh envelope around the same
+  // body; the block sits at a fixed offset and the frame CRC covers it.
+  SvcRequest request;
+  request.request_id = 42;
+  request.context = sample_context();
+  request.body = "payload-tail";
+  const std::string frame = encode_svc_request(request);
   const auto decoded = decode_frame(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
-  ByteReader r(decoded.value().payload);
-  ASSERT_TRUE(r.u64().ok());
-  const auto patched = read_trace_context(r);
-  ASSERT_TRUE(patched.ok()) << patched.error().to_string();
-  EXPECT_EQ(patched.value(), ctx);
-  const auto tail = r.str();
-  ASSERT_TRUE(tail.ok());
-  EXPECT_EQ(tail.value(), "payload-tail");
-}
-
-TEST(TraceContext, PatchIsIdempotentPerAttempt) {
-  // Retry path: the same frame is patched once per attempt; the last
-  // stamp wins and the frame stays decodable every time.
-  std::string frame = sealed_frame(obs::TraceContext{});
-  for (std::uint32_t attempt = 1; attempt <= 3; ++attempt) {
-    obs::TraceContext ctx = sample_context();
-    ctx.ordinal = attempt;
-    ctx.parent_span = obs::dispatch_span_id(ctx.request_id, attempt);
-    ASSERT_TRUE(patch_trace_context(frame, ctx).ok());
-    const auto decoded = decode_frame(frame);
-    ASSERT_TRUE(decoded.ok());
-    ByteReader r(decoded.value().payload);
-    ASSERT_TRUE(r.u64().ok());
-    const auto patched = read_trace_context(r);
-    ASSERT_TRUE(patched.ok());
-    EXPECT_EQ(patched.value().ordinal, attempt);
-  }
-}
-
-TEST(TraceContext, PatchRejectsNonRequestFrameTypes) {
-  std::string frame = sealed_frame(obs::TraceContext{}, FrameType::kVerdict);
-  EXPECT_FALSE(patch_trace_context(frame, sample_context()).ok());
-}
-
-TEST(TraceContext, PatchRejectsAFrameTooShortForTheBlock) {
-  ByteWriter w;
-  w.u64(42);  // id only — no room for the context block
-  std::string frame = seal_frame(FrameType::kEvalRequest, w.data());
-  EXPECT_FALSE(patch_trace_context(frame, sample_context()).ok());
-}
-
-TEST(TraceContext, BitFlipInsideThePatchedBlockFailsTheFrameCrc) {
-  std::string frame = sealed_frame(obs::TraceContext{});
-  ASSERT_TRUE(patch_trace_context(frame, sample_context()).ok());
+  const auto got = decode_svc_request(decoded.value().payload);
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  EXPECT_EQ(got.value().context, request.context);
+  EXPECT_EQ(got.value().body, "payload-tail");
   for (std::size_t i = 0; i < kTraceContextEncodedSize; ++i) {
     std::string corrupt = frame;
     const std::size_t at = kFrameHeaderSize + kTraceContextPayloadOffset + i;

@@ -1,6 +1,6 @@
-// Fault injection: every failure mode of the twin service — unreachable
-// workers, a worker killed mid-verdict-stream, a stalled worker blowing
-// the deadline, corrupted frames, a stale protocol peer — must resolve
+// Fault injection: every failure mode of a remote twin consult —
+// unreachable servers, a server dropping the request, a stalled server
+// blowing the deadline, corrupted replies — must resolve
 // deterministically: bounded retry, then in-process fallback with
 // verdicts identical to what the remote path would have produced. The
 // twinsvc.* counters pin the exact retry/fallback path taken.
@@ -13,46 +13,15 @@
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "sim/snapshot.hpp"
+#include "support/test_server.hpp"
 #include "twinsvc/client.hpp"
-#include "twinsvc/worker.hpp"
 
 namespace amjs::twinsvc {
 namespace {
 
-JobTrace contended_trace() {
-  std::vector<Job> jobs;
-  for (int i = 0; i < 40; ++i) {
-    Job j;
-    j.submit = i * 350;
-    j.runtime = 1200 + (i % 5) * 900;
-    j.walltime = j.runtime + 600;
-    j.nodes = 20 + (i % 4) * 15;
-    jobs.push_back(j);
-  }
-  auto t = JobTrace::from_jobs(std::move(jobs));
-  EXPECT_TRUE(t.ok());
-  return std::move(t).value();
-}
-
-std::vector<TwinCandidateSpec> grid_candidates() {
-  std::vector<TwinCandidateSpec> candidates;
-  for (const double bf : {0.2, 0.5, 1.0}) {
-    for (const int w : {1, 2}) {
-      MetricAwareConfig cfg;
-      cfg.policy = {bf, w};
-      candidates.push_back({cfg.policy.label(), cfg});
-    }
-  }
-  return candidates;
-}
-
-TwinConfig twin_config() {
-  TwinConfig twin;
-  twin.horizon = hours(2);
-  twin.threads = 1;
-  return twin;
-}
+using test_support::same_verdicts;
+using test_support::start_server;
+using test_support::twin_config;
 
 std::uint64_t counter(std::string_view name) {
   return obs::Registry::global().counter(name).value();
@@ -66,17 +35,10 @@ class TwinsvcFaults : public ::testing::Test {
     obs::Registry::set_enabled(true);
     obs::Registry::global().reset_values();
     machine_ = MachineSpec::flat(100);
-    trace_ = contended_trace();
-    SimConfig config;
-    config.snapshot_sink = [this](const SimSnapshot& s) {
-      if (s.check_index == 4) snapshot_ = s;
-    };
-    auto live = machine_.make();
-    MetricAwareScheduler sched;
-    Simulator sim(*live, sched, config);
-    (void)sim.run(trace_);
+    trace_ = test_support::contended_trace();
+    snapshot_ = test_support::snapshot_at(machine_, trace_, 4);
     ASSERT_TRUE(snapshot_.valid());
-    candidates_ = grid_candidates();
+    candidates_ = test_support::grid_candidates();
     LocalTwinBackend local(machine_.factory(), twin_config());
     auto results = local.evaluate(trace_, snapshot_, candidates_);
     ASSERT_TRUE(results.ok());
@@ -87,26 +49,14 @@ class TwinsvcFaults : public ::testing::Test {
   void TearDown() override { obs::Registry::set_enabled(false); }
 
   void expect_matches_local(const std::vector<TwinForkResult>& got) {
-    ASSERT_EQ(got.size(), local_results_.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].label, local_results_[i].label);
-      EXPECT_EQ(got[i].avg_queue_depth_min, local_results_[i].avg_queue_depth_min);
-      EXPECT_EQ(got[i].utilization, local_results_[i].utilization);
-      EXPECT_EQ(got[i].objective, local_results_[i].objective);
-      EXPECT_EQ(got[i].jobs_started, local_results_[i].jobs_started);
-    }
+    EXPECT_TRUE(same_verdicts(got, local_results_));
   }
 
-  [[nodiscard]] std::unique_ptr<TwinWorker> start_worker(WorkerFaults faults) {
-    auto listener = Listener::bind(Endpoint::tcp("127.0.0.1", 0));
-    EXPECT_TRUE(listener.ok());
-    WorkerConfig config;
-    config.threads = 1;
+  [[nodiscard]] static std::unique_ptr<svc::SchedServer> start_faulty(
+      svc::ServerFaults faults) {
+    svc::ServerConfig config;
     config.faults = faults;
-    auto worker =
-        std::make_unique<TwinWorker>(std::move(listener).value(), config);
-    worker->start();
-    return worker;
+    return start_server(config);
   }
 
   [[nodiscard]] RemoteTwinConfig client_config(std::vector<Endpoint> workers,
@@ -129,7 +79,7 @@ class TwinsvcFaults : public ::testing::Test {
 
 TEST_F(TwinsvcFaults, UnreachableWorkersExhaustRetriesThenFallBack) {
   const Endpoint dead =
-      Endpoint::unix_path("/tmp/amjs_twinsvc_test_no_such_worker.sock");
+      Endpoint::unix_path("/tmp/amjs_twinsvc_test_no_such_server.sock");
   RemoteTwinEngine remote(machine_, client_config({dead}, /*max_retries=*/1));
 
   obs::TraceRecorder sink;
@@ -150,18 +100,18 @@ TEST_F(TwinsvcFaults, UnreachableWorkersExhaustRetriesThenFallBack) {
 }
 
 TEST_F(TwinsvcFaults, WorkerKilledMidStreamRetriesThenSucceeds) {
-  // The worker aborts its first request after one verdict frame (the
-  // crash-mid-fork case), then behaves; bounded retry must recover
-  // without falling back.
-  WorkerFaults faults;
+  // The server drops its first request without a reply (the crash-mid-
+  // consult case), then behaves; bounded retry must recover without
+  // falling back.
+  svc::ServerFaults faults;
   faults.fail_first = 1;
-  auto worker = start_worker(faults);
+  auto server = start_faulty(faults);
   RemoteTwinEngine remote(machine_,
-                          client_config({worker->endpoint()}, /*max_retries=*/2));
+                          client_config({server->endpoint()}, /*max_retries=*/2));
 
   obs::TraceRecorder sink;
   auto results = remote.evaluate(trace_, snapshot_, candidates_, &sink);
-  worker->stop();
+  server->stop();
   ASSERT_TRUE(results.ok());
   expect_matches_local(results.value());
 
@@ -170,24 +120,24 @@ TEST_F(TwinsvcFaults, WorkerKilledMidStreamRetriesThenSucceeds) {
   EXPECT_EQ(counter("twinsvc.rpc_errors"), 1u);
   EXPECT_EQ(counter("twinsvc.fallbacks"), 0u);
   EXPECT_EQ(counter("twinsvc.remote_candidates"), candidates_.size());
-  EXPECT_EQ(counter("twinsvc.worker.aborts"), 1u);
-  EXPECT_EQ(worker->requests_served(), 1u);
+  EXPECT_EQ(counter("svc.aborts"), 1u);
+  EXPECT_EQ(server->requests_served(), 1u);
   EXPECT_EQ(sink.count(obs::TraceCategory::kTwin, "remote_verdict"), 1u);
 }
 
 TEST_F(TwinsvcFaults, WorkerKilledEveryTimeExhaustsRetriesIntoFallback) {
-  // fail_after = 0: every request dies after its first verdict frame.
-  // All attempts burn, then the consult is served in-process — and the
+  // fail_after = 0: every request is dropped without a reply. All
+  // attempts burn, then the consult is served in-process — and the
   // verdicts are still exactly the local engine's.
-  WorkerFaults faults;
+  svc::ServerFaults faults;
   faults.fail_after = 0;
-  auto worker = start_worker(faults);
+  auto server = start_faulty(faults);
   RemoteTwinEngine remote(machine_,
-                          client_config({worker->endpoint()}, /*max_retries=*/2));
+                          client_config({server->endpoint()}, /*max_retries=*/2));
 
   obs::TraceRecorder sink;
   auto results = remote.evaluate(trace_, snapshot_, candidates_, &sink);
-  worker->stop();
+  server->stop();
   ASSERT_TRUE(results.ok());
   expect_matches_local(results.value());
 
@@ -197,23 +147,23 @@ TEST_F(TwinsvcFaults, WorkerKilledEveryTimeExhaustsRetriesIntoFallback) {
   EXPECT_EQ(counter("twinsvc.fallbacks"), 1u);
   EXPECT_EQ(counter("twinsvc.fallback_candidates"), candidates_.size());
   EXPECT_EQ(counter("twinsvc.remote_candidates"), 0u);
-  EXPECT_EQ(counter("twinsvc.worker.aborts"), 3u);
-  EXPECT_EQ(worker->requests_served(), 0u);
+  EXPECT_EQ(counter("svc.aborts"), 3u);
+  EXPECT_EQ(server->requests_served(), 0u);
   EXPECT_EQ(sink.count(obs::TraceCategory::kTwin, "fallback"), 1u);
 }
 
 TEST_F(TwinsvcFaults, StalledWorkerBlowsDeadlineThenFallsBack) {
-  WorkerFaults faults;
+  svc::ServerFaults faults;
   faults.stall_ms = 2000;  // far past the client deadline below
-  auto worker = start_worker(faults);
-  auto config = client_config({worker->endpoint()}, /*max_retries=*/0);
+  auto server = start_faulty(faults);
+  auto config = client_config({server->endpoint()}, /*max_retries=*/0);
   config.request_timeout_ms = 150;
   RemoteTwinEngine remote(machine_, config);
 
   auto results = remote.evaluate(trace_, snapshot_, candidates_);
   ASSERT_TRUE(results.ok());
   expect_matches_local(results.value());
-  worker->stop();
+  server->stop();
 
   EXPECT_EQ(counter("twinsvc.dispatches"), 1u);
   EXPECT_EQ(counter("twinsvc.rpc_errors"), 1u);
@@ -222,14 +172,14 @@ TEST_F(TwinsvcFaults, StalledWorkerBlowsDeadlineThenFallsBack) {
 }
 
 TEST_F(TwinsvcFaults, CorruptVerdictFramesRejectedThenFallBack) {
-  WorkerFaults faults;
-  faults.garbage = true;  // every verdict frame's CRC is wrong
-  auto worker = start_worker(faults);
+  svc::ServerFaults faults;
+  faults.garbage = true;  // every reply's CRC is wrong
+  auto server = start_faulty(faults);
   RemoteTwinEngine remote(machine_,
-                          client_config({worker->endpoint()}, /*max_retries=*/1));
+                          client_config({server->endpoint()}, /*max_retries=*/1));
 
   auto results = remote.evaluate(trace_, snapshot_, candidates_);
-  worker->stop();
+  server->stop();
   ASSERT_TRUE(results.ok());
   expect_matches_local(results.value());
 
@@ -240,17 +190,17 @@ TEST_F(TwinsvcFaults, CorruptVerdictFramesRejectedThenFallBack) {
 }
 
 TEST_F(TwinsvcFaults, SecondWorkerCoversForTheDeadOne) {
-  // Retry rotates endpoints: with worker 0 dead and worker 1 healthy, one
+  // Retry rotates endpoints: with server 0 dead and server 1 healthy, one
   // retry lands the chunk remotely — no fallback.
-  WorkerFaults always_dead;
+  svc::ServerFaults always_dead;
   always_dead.fail_after = 0;
-  auto dead = start_worker(always_dead);
-  auto healthy = start_worker(WorkerFaults{});
+  auto dead = start_faulty(always_dead);
+  auto healthy = start_server();
   RemoteTwinEngine remote(
       machine_,
       client_config({dead->endpoint(), healthy->endpoint()}, /*max_retries=*/2));
 
-  // A single chunk (chunk 0) starts on the dead worker, retries onto the
+  // A single chunk (chunk 0) starts on the dead server, retries onto the
   // healthy one. One candidate keeps the shard count at one.
   const std::vector<TwinCandidateSpec> one(candidates_.begin(),
                                            candidates_.begin() + 1);
@@ -267,40 +217,6 @@ TEST_F(TwinsvcFaults, SecondWorkerCoversForTheDeadOne) {
   EXPECT_EQ(healthy->requests_served(), 1u);
 }
 
-TEST_F(TwinsvcFaults, StaleProtocolVersionGetsErrorReply) {
-  auto worker = start_worker(WorkerFaults{});
-  auto socket = dial(worker->endpoint(), 1000);
-  ASSERT_TRUE(socket.ok());
-
-  // A frame from a hypothetical v2 peer: valid shape, bumped version.
-  std::string stale = encode_done(DoneFrame{1, 0});
-  stale[kFrameMagic.size()] = 2;
-  ASSERT_TRUE(send_frame(socket.value(), stale, 1000).ok());
-
-  // The worker cannot decode it, so it replies kError (request_id 0)
-  // naming the version mismatch, then hangs up.
-  auto reply = recv_frame(socket.value(), 2000);
-  worker->stop();
-  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-  ASSERT_EQ(reply.value().type, FrameType::kError);
-  auto error = decode_error(reply.value().payload);
-  ASSERT_TRUE(error.ok());
-  EXPECT_EQ(error.value().request_id, 0u);
-  EXPECT_NE(error.value().message.find("version"), std::string::npos)
-      << error.value().message;
-}
-
-TEST_F(TwinsvcFaults, NonRequestFrameGetsErrorReply) {
-  auto worker = start_worker(WorkerFaults{});
-  auto socket = dial(worker->endpoint(), 1000);
-  ASSERT_TRUE(socket.ok());
-  ASSERT_TRUE(send_frame(socket.value(), encode_done(DoneFrame{1, 0}), 1000).ok());
-  auto reply = recv_frame(socket.value(), 2000);
-  worker->stop();
-  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-  EXPECT_EQ(reply.value().type, FrameType::kError);
-}
-
 TEST(TwinsvcSocket, LapsedDeadlineFailsImmediatelyNotForever) {
   // A budget that ran out between the caller's positivity check and the
   // I/O call arrives as zero or negative; it must surface as an immediate
@@ -313,7 +229,7 @@ TEST(TwinsvcSocket, LapsedDeadlineFailsImmediatelyNotForever) {
   const auto start = std::chrono::steady_clock::now();
   EXPECT_FALSE(recv_frame(socket.value(), 0).ok());
   EXPECT_FALSE(recv_frame(socket.value(), -5).ok());
-  EXPECT_FALSE(send_frame(socket.value(), encode_done(DoneFrame{1, 0}), 0).ok());
+  EXPECT_FALSE(send_frame(socket.value(), encode_stats_request(), 0).ok());
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - start)
                            .count();

@@ -1,12 +1,14 @@
-// twinsvc.v1 wire format: round-trips must be lossless, and every
-// corruption of a frame — truncation at any prefix, any flipped byte, a
-// stale protocol version, trailing garbage — must surface as a clean
-// Result error, never a wrong decode. Same harness style as the snapshot
-// container's corruption tests (tests/snapshot_io/codec_test.cpp).
+// svc wire format: round-trips must be lossless, and every corruption of
+// a frame or a body — truncation at any prefix, any flipped byte, a stale
+// protocol version, trailing garbage, a crafted field — must surface as a
+// clean Result error, never a wrong decode. Same harness style as the
+// snapshot container's corruption tests (tests/snapshot_io/codec_test.cpp).
 #include "twinsvc/frame.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,7 +52,6 @@ SimSnapshot snapshot_of(const JobTrace& trace) {
 
 EvalRequest sample_request(const JobTrace& trace, const SimSnapshot& snapshot) {
   EvalRequest request;
-  request.request_id = 42;
   request.machine = MachineSpec::flat(50);
   request.twin.horizon = hours(2);
   request.twin.metric_check_interval = minutes(15);
@@ -71,16 +72,11 @@ TEST(TwinsvcFrame, EvalRequestRoundTripsLossless) {
   const auto snapshot = snapshot_of(trace);
   const EvalRequest request = sample_request(trace, snapshot);
 
-  const auto bytes = encode_eval_request(request);
-  ASSERT_TRUE(bytes.ok()) << bytes.error().to_string();
-  const auto frame = decode_frame(bytes.value());
-  ASSERT_TRUE(frame.ok()) << frame.error().to_string();
-  EXPECT_EQ(frame.value().type, FrameType::kEvalRequest);
-
-  const auto decoded = decode_eval_request(frame.value().payload);
+  const auto body = encode_eval_request(request);
+  ASSERT_TRUE(body.ok()) << body.error().to_string();
+  const auto decoded = decode_eval_request(body.value());
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
   const EvalRequest& got = decoded.value();
-  EXPECT_EQ(got.request_id, 42u);
   EXPECT_EQ(got.machine.kind, MachineSpec::Kind::kFlat);
   EXPECT_EQ(got.machine.nodes, 50);
   EXPECT_EQ(got.twin.horizon, hours(2));
@@ -111,38 +107,24 @@ TEST(TwinsvcFrame, EvalRequestRoundTripsLossless) {
   }
 }
 
-TEST(TwinsvcFrame, VerdictDoneErrorRoundTrip) {
-  VerdictFrame verdict;
-  verdict.request_id = 7;
-  verdict.index = 3;
-  verdict.result.label = "BF=0.50 W=2";
-  verdict.result.avg_queue_depth_min = 123.456789;
-  verdict.result.utilization = 0.87654321;
-  verdict.result.objective = 370.11;
-  verdict.result.wall_ms = 5.5;
-  verdict.result.jobs_started = 19;
-  const auto verdict_frame = decode_frame(encode_verdict(verdict));
-  ASSERT_TRUE(verdict_frame.ok());
-  EXPECT_EQ(verdict_frame.value().type, FrameType::kVerdict);
-  const auto got = decode_verdict(verdict_frame.value().payload);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().request_id, 7u);
-  EXPECT_EQ(got.value().index, 3u);
-  EXPECT_EQ(got.value().result.label, verdict.result.label);
+TEST(TwinsvcFrame, VerdictBatchAndErrorRoundTrip) {
+  TwinForkResult verdict;
+  verdict.label = "BF=0.50 W=2";
+  verdict.avg_queue_depth_min = 123.456789;
+  verdict.utilization = 0.87654321;
+  verdict.objective = 370.11;
+  verdict.wall_ms = 5.5;
+  verdict.jobs_started = 19;
+  const auto got = decode_verdicts(encode_verdicts({verdict, verdict}));
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  ASSERT_EQ(got.value().size(), 2u);
+  EXPECT_EQ(got.value()[1].label, verdict.label);
   // Doubles are bit-cast on the wire: exact equality, not approximate.
-  EXPECT_EQ(got.value().result.avg_queue_depth_min,
-            verdict.result.avg_queue_depth_min);
-  EXPECT_EQ(got.value().result.utilization, verdict.result.utilization);
-  EXPECT_EQ(got.value().result.objective, verdict.result.objective);
-  EXPECT_EQ(got.value().result.wall_ms, verdict.result.wall_ms);
-  EXPECT_EQ(got.value().result.jobs_started, verdict.result.jobs_started);
-
-  const auto done_frame = decode_frame(encode_done(DoneFrame{7, 6}));
-  ASSERT_TRUE(done_frame.ok());
-  const auto done = decode_done(done_frame.value().payload);
-  ASSERT_TRUE(done.ok());
-  EXPECT_EQ(done.value().request_id, 7u);
-  EXPECT_EQ(done.value().verdicts, 6u);
+  EXPECT_EQ(got.value()[1].avg_queue_depth_min, verdict.avg_queue_depth_min);
+  EXPECT_EQ(got.value()[1].utilization, verdict.utilization);
+  EXPECT_EQ(got.value()[1].objective, verdict.objective);
+  EXPECT_EQ(got.value()[1].wall_ms, verdict.wall_ms);
+  EXPECT_EQ(got.value()[1].jobs_started, verdict.jobs_started);
 
   const auto error_frame =
       decode_frame(encode_error(ErrorFrame{0, "bad request"}));
@@ -154,7 +136,7 @@ TEST(TwinsvcFrame, VerdictDoneErrorRoundTrip) {
 }
 
 TEST(TwinsvcFrame, TruncationAtEveryPrefixFailsCleanly) {
-  const std::string bytes = encode_done(DoneFrame{9, 4});
+  const std::string bytes = encode_error(ErrorFrame{9, "four"});
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     const auto decoded = decode_frame(std::string_view(bytes).substr(0, len));
     EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " bytes decoded";
@@ -162,7 +144,7 @@ TEST(TwinsvcFrame, TruncationAtEveryPrefixFailsCleanly) {
 }
 
 TEST(TwinsvcFrame, EveryFlippedByteFailsCleanly) {
-  const std::string bytes = encode_done(DoneFrame{9, 4});
+  const std::string bytes = encode_error(ErrorFrame{9, "four"});
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     std::string corrupted = bytes;
     corrupted[i] = static_cast<char>(corrupted[i] ^ 0xff);
@@ -183,8 +165,8 @@ TEST(TwinsvcFrame, SingleBitFlipInPayloadIsCaughtByCrc) {
 }
 
 TEST(TwinsvcFrame, StaleProtocolVersionNamesBothVersions) {
-  std::string bytes = encode_done(DoneFrame{9, 4});
-  bytes[kFrameMagic.size()] = 2;  // version u32 (little-endian) -> 2
+  std::string bytes = encode_error(ErrorFrame{9, "four"});
+  bytes[kFrameMagic.size()] = 1;  // version u32 (little-endian) -> 1
   const auto decoded = decode_frame(bytes);
   ASSERT_FALSE(decoded.ok());
   const std::string message = decoded.error().to_string();
@@ -194,19 +176,22 @@ TEST(TwinsvcFrame, StaleProtocolVersionNamesBothVersions) {
 }
 
 TEST(TwinsvcFrame, UnknownFrameTypeRejected) {
-  std::string bytes = encode_done(DoneFrame{9, 4});
-  bytes[kFrameMagic.size() + 4] = 12;  // type byte past every known family
-  EXPECT_FALSE(decode_frame(bytes).ok());
+  // Past every known type, and the version-1 types that are gone.
+  for (const int type : {12, 1, 2, 3, 5, 6}) {
+    std::string bytes = encode_error(ErrorFrame{9, "four"});
+    bytes[kFrameMagic.size() + 4] = static_cast<char>(type);
+    EXPECT_FALSE(decode_frame(bytes).ok()) << "type " << type;
+  }
 }
 
 TEST(TwinsvcFrame, TrailingGarbageRejected) {
-  std::string bytes = encode_done(DoneFrame{9, 4});
+  std::string bytes = encode_error(ErrorFrame{9, "four"});
   bytes.push_back('\0');
   EXPECT_FALSE(decode_frame(bytes).ok());
 }
 
 TEST(TwinsvcFrame, OversizedLengthFieldRejectedBeforeAllocation) {
-  std::string bytes = encode_done(DoneFrame{9, 4});
+  std::string bytes = encode_error(ErrorFrame{9, "four"});
   // Length u64 at offset 13: claim a payload far past the cap.
   for (std::size_t i = 0; i < 8; ++i) {
     bytes[kFrameMagic.size() + 5 + i] = static_cast<char>(0xff);
@@ -220,17 +205,14 @@ TEST(TwinsvcFrame, OversizedLengthFieldRejectedBeforeAllocation) {
 TEST(TwinsvcFrame, HugeDeclaredJobCountRejectedBeforeAllocation) {
   const auto trace = small_trace();
   const auto snapshot = snapshot_of(trace);
-  const auto bytes = encode_eval_request(sample_request(trace, snapshot));
-  ASSERT_TRUE(bytes.ok());
-  auto frame = decode_frame(bytes.value());
-  ASSERT_TRUE(frame.ok());
-  // The job count u64 sits at a fixed payload offset: request id (8),
-  // trace context (29), machine spec (1 + 4*8), twin params (4*8).
-  // Declare ~2^64 jobs; the decoder must reject the count against the
-  // bytes actually present instead of letting a CRC-valid crafted frame
-  // drive a multi-gigabyte reserve().
-  std::string payload = frame.value().payload;
-  const std::size_t count_at = 8 + kTraceContextEncodedSize + 33 + 32;
+  auto body = encode_eval_request(sample_request(trace, snapshot));
+  ASSERT_TRUE(body.ok());
+  // The job count u64 sits at a fixed body offset: machine spec
+  // (1 + 4*8), twin params (4*8). Declare ~2^64 jobs; the decoder must
+  // reject the count against the bytes actually present instead of
+  // letting a CRC-valid crafted request drive a multi-gigabyte reserve().
+  std::string payload = body.value();
+  const std::size_t count_at = 33 + 32;
   for (std::size_t i = 0; i < 8; ++i) {
     payload[count_at + i] = static_cast<char>(0xff);
   }
@@ -244,15 +226,12 @@ TEST(TwinsvcFrame, HugeDeclaredJobCountRejectedBeforeAllocation) {
 TEST(TwinsvcFrame, UnknownCandidateFamilyRejected) {
   const auto trace = small_trace();
   const auto snapshot = snapshot_of(trace);
-  const auto bytes = encode_eval_request(sample_request(trace, snapshot));
-  ASSERT_TRUE(bytes.ok());
-  auto frame = decode_frame(bytes.value());
-  ASSERT_TRUE(frame.ok());
-  // Rewrite the family tag inside the payload; decode_eval_request takes
-  // the payload directly, so no CRC re-sealing is needed. The candidates
-  // sit after the nested snapshot (whose scheduler-state codec name also
-  // contains "metric_aware"), so patch the LAST occurrence.
-  std::string payload = frame.value().payload;
+  auto body = encode_eval_request(sample_request(trace, snapshot));
+  ASSERT_TRUE(body.ok());
+  // Rewrite the family tag inside the body. The candidates sit after the
+  // nested snapshot (whose scheduler-state codec name also contains
+  // "metric_aware"), so patch the LAST occurrence.
+  std::string payload = body.value();
   const std::size_t at = payload.rfind(kCandidateFamilyMetricAware);
   ASSERT_NE(at, std::string::npos);
   payload.replace(at, kCandidateFamilyMetricAware.size(), "metric_xxxxx.v9");
@@ -267,11 +246,78 @@ TEST(TwinsvcFrame, InvalidCandidatePolicyRejected) {
   const auto snapshot = snapshot_of(trace);
   EvalRequest request = sample_request(trace, snapshot);
   request.candidates[0].config.policy.balance_factor = -3.0;
-  const auto bytes = encode_eval_request(request);
-  ASSERT_TRUE(bytes.ok());
-  auto frame = decode_frame(bytes.value());
-  ASSERT_TRUE(frame.ok());
-  EXPECT_FALSE(decode_eval_request(frame.value().payload).ok());
+  const auto body = encode_eval_request(request);
+  ASSERT_TRUE(body.ok());
+  EXPECT_FALSE(decode_eval_request(body.value()).ok());
+}
+
+TEST(TwinsvcFrame, CraftedMachineSpecsRejected) {
+  // Each used to decode: a wrapped leaf product, a non-power-of-two row
+  // (the constructor asserts on it), a row count narrowed to a different
+  // machine, and a node total that overflows.
+  const auto decode = [](MachineSpec::Kind kind, std::int64_t leaf_nodes,
+                         std::int64_t row_leaves, std::int64_t rows) {
+    snapshot_io::ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(kind));
+    for (const std::int64_t v : {std::int64_t{0}, leaf_nodes, row_leaves, rows}) {
+      w.i64(v);
+    }
+    snapshot_io::ByteReader r(w.data());
+    return read_machine_spec(r);
+  };
+  constexpr auto kPartition = MachineSpec::Kind::kPartition;
+  EXPECT_FALSE(decode(kPartition, 512, 65536, 65536).ok());
+  EXPECT_FALSE(decode(kPartition, 512, 3, 5).ok());
+  EXPECT_FALSE(decode(kPartition, 512, (std::int64_t{1} << 32) + 4, 5).ok());
+  EXPECT_FALSE(decode(kPartition, std::int64_t{1} << 60, 16, 5).ok());
+  EXPECT_TRUE(decode(kPartition, 512, 16, 5).ok());
+}
+
+TEST(TwinsvcFrame, SnapshotThatDoesNotFitItsTraceOrMachineRejected) {
+  // The server restores an eval snapshot into forks, where resume() only
+  // asserts the fit: another machine, another trace, a running job queued
+  // again, its allocation lost, or a second end event must fail the decode.
+  const auto trace = small_trace();
+  const auto snapshot = snapshot_of(trace);
+  const auto running = std::ranges::find(snapshot.states, SimJobState::kRunning);
+  ASSERT_NE(running, snapshot.states.end());
+  const auto job = static_cast<JobId>(running - snapshot.states.begin());
+  const EvalRequest fits = sample_request(trace, snapshot);
+  ASSERT_TRUE(decode_eval_request(encode_eval_request(fits).value()).ok());
+
+  std::vector<EvalRequest> misfits(5, fits);
+  misfits[0].machine = MachineSpec::flat(60);
+  misfits[1].trace = trace.prefix(trace.size() - 1);
+  misfits[2].snapshot.queue.push_back(job);
+  auto machine = std::make_shared<FlatMachineState>(
+      dynamic_cast<const FlatMachineState&>(*snapshot.machine));
+  machine->allocs.erase(job);
+  misfits[3].snapshot.machine = machine;
+  misfits[4].snapshot.events.push(snapshot.now + 60, EventType::kJobEnd, job);
+  for (std::size_t i = 0; i < misfits.size(); ++i) {
+    const auto decoded = decode_eval_request(encode_eval_request(misfits[i]).value());
+    ASSERT_FALSE(decoded.ok()) << "misfit " << i;
+    EXPECT_NE(decoded.error().to_string().find("request snapshot"),
+              std::string::npos)
+        << decoded.error().to_string();
+  }
+}
+
+TEST(TwinsvcFrame, OutOfRangeCandidateFieldsRejected) {
+  // window_size and max_window fill ints: a value past the int range must
+  // fail, not narrow to a different (valid-looking) candidate.
+  for (const bool window : {true, false}) {
+    TwinCandidateSpec spec{"w", MetricAwareConfig{}};
+    snapshot_io::ByteWriter w;
+    write_candidate_spec(w, spec);
+    std::string bytes = w.data();
+    // The i64 sits 8 bytes before the two bools and the mode byte
+    // (window_size), or in the last 8 bytes (max_window).
+    const std::size_t at = window ? bytes.size() - 8 - 3 - 8 : bytes.size() - 8;
+    bytes[at + 4] = 1;  // + 2^32
+    snapshot_io::ByteReader r(bytes);
+    EXPECT_FALSE(read_candidate_spec(r).ok()) << (window ? "window" : "max");
+  }
 }
 
 TEST(TwinsvcEndpoint, ParseAcceptsUnixAndTcp) {

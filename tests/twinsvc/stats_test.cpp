@@ -1,7 +1,8 @@
 // Fleet telemetry: kStatsReply wire codec round-trips, rejects unsorted
-// snapshots, and the live path — query_worker_stats against a real
-// TwinWorker, FleetMonitor folding worker counters into fleet.<endpoint>.*
-// as deltas so driver-side values track the worker's monotone counters.
+// snapshots, and the live path — Client::stats() against a real
+// SchedServer, FleetMonitor folding server counters into
+// fleet.<endpoint>.* as deltas so driver-side values track the server's
+// monotone counters.
 #include "twinsvc/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -10,17 +11,16 @@
 #include <string>
 
 #include "obs/registry.hpp"
-#include "twinsvc/frame.hpp"
-#include "twinsvc/worker.hpp"
+#include "support/test_server.hpp"
+#include "twinsvc/client.hpp"
 
 namespace amjs::twinsvc {
 namespace {
 
 obs::StatsSnapshot sample_snapshot() {
   obs::StatsSnapshot snapshot;
-  snapshot.counters = {{"campaign.worker.cells", 2}, {"core.permutations", 681}};
-  snapshot.gauges = {{"twinsvc.worker.in_flight", -1},
-                     {"twinsvc.worker.uptime_ms", 83}};
+  snapshot.counters = {{"core.permutations", 681}, {"svc.plugin.campaign", 2}};
+  snapshot.gauges = {{"svc.in_flight", -1}, {"svc.uptime_ms", 83}};
   obs::TimerStats t;
   t.count = 4;
   t.total_ms = 2.5;
@@ -76,18 +76,13 @@ TEST(StatsCodec, StatsRequestIsAnEmptyFrame) {
   EXPECT_TRUE(frame.value().payload.empty());
 }
 
-/// Live worker on a loopback TCP port, registry armed for the test body.
+/// Live server on a loopback TCP port, registry armed for the test body.
 class FleetStats : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::Registry::set_enabled(true);
-    obs::Registry::global().reset_values();
-    auto listener = Listener::bind(Endpoint::tcp("127.0.0.1", 0));
-    ASSERT_TRUE(listener.ok()) << listener.error().to_string();
-    WorkerConfig config;
-    config.threads = 1;
-    worker_ = std::make_unique<TwinWorker>(std::move(listener).value(), config);
-    worker_->start();
+    worker_ = test_support::start_server();
+    obs::Registry::global().reset_values();  // drop dataset-build samples
   }
 
   void TearDown() override {
@@ -95,28 +90,33 @@ class FleetStats : public ::testing::Test {
     obs::Registry::set_enabled(false);
   }
 
-  std::unique_ptr<TwinWorker> worker_;
+  [[nodiscard]] static Result<obs::StatsSnapshot> query(const Endpoint& endpoint,
+                                                        int timeout_ms) {
+    return Client(ClientConfig{endpoint, timeout_ms}).stats();
+  }
+
+  std::unique_ptr<svc::SchedServer> worker_;
 };
 
 TEST_F(FleetStats, QueryServesTheLiveRegistryOutOfBand) {
   obs::Registry::global().counter("test.stats.live").add(5);
 
-  const auto snapshot = query_worker_stats(worker_->endpoint(), 2000);
+  const auto snapshot = query(worker_->endpoint(), 2000);
   ASSERT_TRUE(snapshot.ok()) << snapshot.error().to_string();
   EXPECT_EQ(snapshot.value().counter_value("test.stats.live"), 5u);
   // Stats polls are out-of-band: they must not count as served requests,
-  // or the final fleet poll could never match the worker's own exit stats.
-  EXPECT_EQ(snapshot.value().counter_value("twinsvc.worker.requests"), 0u);
+  // or the final fleet poll could never match the server's own exit stats.
+  EXPECT_EQ(snapshot.value().counter_value("svc.requests"), 0u);
 }
 
 TEST_F(FleetStats, QueryFailsCleanlyOnADeadEndpoint) {
   worker_.reset();  // the port is now closed
-  const auto snapshot = query_worker_stats(Endpoint::tcp("127.0.0.1", 9), 500);
+  const auto snapshot = query(Endpoint::tcp("127.0.0.1", 9), 500);
   EXPECT_FALSE(snapshot.ok());
 }
 
 TEST_F(FleetStats, MonitorFoldsCounterDeltas) {
-  // The worker shares this process's registry, so each poll must fold only
+  // The server shares this process's registry, so each poll must fold only
   // the *delta* since the last poll — an absolute fold would double-count.
   obs::Registry::global().counter("test.stats.work").add(3);
 
