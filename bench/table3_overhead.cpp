@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "sched/calendar/calendar.hpp"
 
 namespace amjs::bench {
 namespace {
@@ -126,7 +127,8 @@ BENCHMARK(BM_SchedulingIteration)
     ->Unit(benchmark::kMillisecond);
 
 void BM_WindowDecisionOnly(benchmark::State& state) {
-  // Isolates step 5: one window decision against a half-busy machine.
+  // Isolates step 5: one window decision against a half-busy machine, on
+  // the calendar view a scheduler pass would get.
   const int window = static_cast<int>(state.range(0));
   auto machine = intrepid_machine();
   Rng rng(11);
@@ -151,7 +153,8 @@ void BM_WindowDecisionOnly(benchmark::State& state) {
   for (const auto& j : waiting) ptrs.push_back(&j);
 
   WindowAllocator alloc(8);
-  const auto plan = machine->make_plan(0);
+  const auto calendar = make_plan_provider(*machine);
+  const auto plan = calendar->plan(0);
   for (auto _ : state) {
     const auto decision = alloc.decide(*plan, ptrs, 0);
     benchmark::DoNotOptimize(decision.makespan);

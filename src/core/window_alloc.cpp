@@ -183,10 +183,8 @@ Objective place_all(const Plan& base, const std::vector<const Job*>& window,
 //     differently starts where it could have started some levels up, so
 //     by (a) its predecessor on this path did not move its start.
 //
-// Plans with undo support (Plan::supports_undo) are explored by
-// commit + undo_last_commit on the one plan — no per-branch clone; plans
-// without it fall back to clone-per-branch. Both walks visit identical
-// states in identical order, so the chosen permutation cannot differ.
+// The tree is walked on one plan: each child is a commit, its subtree, and
+// undo_last_commit, which restores the plan exactly (platform/machine.hpp).
 void search(Plan& plan, Objective so_far, std::uint64_t used_mask, bool may_repeat,
             SearchState& state) {
   const auto& window = *state.window;
@@ -232,17 +230,10 @@ void search(Plan& plan, Objective so_far, std::uint64_t used_mask, bool may_repe
     // have started before its predecessor was placed.
     const bool child_may_repeat = may_repeat || (depth > 0 && floors[i] == start);
     state.current.push_back({job->id, start});
-    if (plan.supports_undo()) {
-      plan.commit(*job, start);
-      state.seen.place(i, start, plan.last_placement());
-      search(plan, next, used_mask | bit(i), child_may_repeat, state);
-      plan.undo_last_commit();
-    } else {
-      auto child = plan.clone();
-      child->commit(*job, start);
-      state.seen.place(i, start, child->last_placement());
-      search(*child, next, used_mask | bit(i), child_may_repeat, state);
-    }
+    plan.commit(*job, start);
+    state.seen.place(i, start, plan.last_placement());
+    search(plan, next, used_mask | bit(i), child_may_repeat, state);
+    plan.undo_last_commit();
     state.seen.unplace(i);
     state.current.pop_back();
   }
@@ -306,7 +297,7 @@ WindowDecision WindowAllocator::decide(const Plan& plan,
     }
     state.starts.assign((n + 1) * n, now);
     state.seen = SeenStates(n);
-    // One root clone; undo-capable plans mutate it in place down the tree.
+    // One root clone, walked by commit + undo down the whole tree.
     auto root = plan.clone();
     search(*root, Objective{now, 0}, 0, false, state);
   }

@@ -1,6 +1,5 @@
 #include "platform/flat.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace amjs {
@@ -36,10 +35,6 @@ std::vector<RunningAlloc> FlatMachine::running() const {
   return out;
 }
 
-std::unique_ptr<Plan> FlatMachine::make_plan(SimTime now) const {
-  return std::make_unique<FlatPlan>(total_, now, running());
-}
-
 std::unique_ptr<MachineState> FlatMachine::save_state() const {
   auto state = std::make_unique<FlatMachineState>();
   state->total = total_;
@@ -59,118 +54,6 @@ void FlatMachine::restore_state(const MachineState& state) {
 void FlatMachine::reset() {
   busy_ = 0;
   allocs_.clear();
-}
-
-FlatPlan::FlatPlan(NodeCount total, SimTime now,
-                   const std::vector<RunningAlloc>& running)
-    : total_(total), origin_(now) {
-  steps_.push_back({now, total});
-  for (const auto& alloc : running) {
-    // A running job occupies from the plan origin until its predicted end
-    // (jobs at/after their predicted end occupy until "now" resolves them;
-    // treat them as ending immediately).
-    const SimTime end = std::max(alloc.predicted_end, now);
-    if (end > now) occupy(now, end, alloc.occupied);
-  }
-}
-
-std::unique_ptr<Plan> FlatPlan::clone() const {
-  return std::make_unique<FlatPlan>(*this);
-}
-
-NodeCount FlatPlan::free_at(SimTime t) const {
-  assert(t >= origin_);
-  NodeCount free = steps_.front().free;
-  for (const auto& s : steps_) {
-    if (s.time > t) break;
-    free = s.free;
-  }
-  return free;
-}
-
-bool FlatPlan::fits_at(const Job& job, SimTime t) const {
-  assert(t >= origin_);
-  const SimTime end = t + job.walltime;
-  // Capacity must hold across every segment overlapping [t, end).
-  for (std::size_t k = 0; k < steps_.size(); ++k) {
-    const SimTime seg_start = steps_[k].time;
-    const SimTime seg_end = (k + 1 < steps_.size()) ? steps_[k + 1].time : kNever;
-    if (seg_end <= t) continue;
-    if (seg_start >= end) break;
-    if (steps_[k].free < job.nodes) return false;
-  }
-  return true;
-}
-
-SimTime FlatPlan::find_start(const Job& job, SimTime earliest) const {
-  assert(job.nodes <= total_);
-  earliest = std::max(earliest, origin_);
-  // Candidate starts: `earliest` and every later breakpoint. For each, the
-  // job fits if free capacity stays >= job.nodes across [t, t + walltime).
-  // Scan breakpoints once, tracking the earliest viable candidate.
-  std::size_t i = 0;
-  while (i + 1 < steps_.size() && steps_[i + 1].time <= earliest) ++i;
-
-  SimTime candidate = earliest;
-  std::size_t j = i;
-  while (true) {
-    // Check viability of `candidate` starting from segment j.
-    if (steps_[j].free >= job.nodes) {
-      const SimTime end = candidate + job.walltime;
-      bool viable = true;
-      for (std::size_t k = j; k < steps_.size() && steps_[k].time < end; ++k) {
-        // Segment k overlaps [candidate, end) — for k == j the overlap
-        // starts at `candidate`.
-        if (steps_[k].free < job.nodes) {
-          viable = false;
-          // Restart search at the breakpoint after the blocking segment.
-          candidate = (k + 1 < steps_.size()) ? steps_[k + 1].time : kNever;
-          j = k + 1 < steps_.size() ? k + 1 : steps_.size() - 1;
-          break;
-        }
-      }
-      if (viable) return candidate;
-      if (candidate == kNever) break;  // defensive; cannot happen (see below)
-    } else {
-      if (j + 1 >= steps_.size()) break;  // defensive
-      ++j;
-      candidate = steps_[j].time;
-    }
-  }
-  // Unreachable for fitting jobs: the final segment is the whole machine
-  // free forever once every commitment expires.
-  assert(false && "find_start: no slot for a fitting job");
-  return kNever;
-}
-
-void FlatPlan::commit(const Job& job, SimTime start) {
-  assert(start >= origin_);
-  occupy(start, start + job.walltime, job.nodes);
-}
-
-void FlatPlan::occupy(SimTime from, SimTime to, NodeCount nodes) {
-  assert(from < to);
-  assert(nodes > 0);
-  // Ensure breakpoints exist at `from` and `to`, then subtract capacity on
-  // the covered segments.
-  auto ensure_breakpoint = [&](SimTime t) {
-    auto it = std::lower_bound(
-        steps_.begin(), steps_.end(), t,
-        [](const Step& s, SimTime time) { return s.time < time; });
-    if (it != steps_.end() && it->time == t) return;
-    assert(it != steps_.begin());  // t >= origin_ always
-    const NodeCount free_before = std::prev(it)->free;
-    steps_.insert(it, Step{t, free_before});
-  };
-  ensure_breakpoint(from);
-  ensure_breakpoint(to);
-  for (auto& s : steps_) {
-    if (s.time >= to) break;
-    if (s.time >= from) {
-      s.free -= nodes;
-      assert(s.free >= 0 && "plan oversubscribed");
-    }
-  }
 }
 
 }  // namespace amjs

@@ -2,7 +2,8 @@
 //
 // This is the machine model of generic-cluster scheduling studies (and of
 // most SWF archive logs). Backfill planning is exact: a job can start
-// whenever enough node capacity is free for its full walltime.
+// whenever enough node capacity is free for its full walltime (see
+// sched/calendar/flat_calendar.hpp for the plan).
 #pragma once
 
 #include <map>
@@ -25,7 +26,6 @@ class FlatMachine final : public Machine {
   [[nodiscard]] bool start(const Job& job, SimTime now, int placement = -1) override;
   void finish(JobId job, SimTime now) override;
   [[nodiscard]] std::vector<RunningAlloc> running() const override;
-  [[nodiscard]] std::unique_ptr<Plan> make_plan(SimTime now) const override;
   [[nodiscard]] std::unique_ptr<MachineState> save_state() const override;
   void restore_state(const MachineState& state) override;
   void reset() override;
@@ -41,33 +41,6 @@ struct FlatMachineState final : MachineState {
   NodeCount total = 0;  // topology check on restore
   NodeCount busy = 0;
   std::map<JobId, RunningAlloc> allocs;
-};
-
-/// Plan over a flat node pool: a free-capacity step profile.
-class FlatPlan final : public Plan {
- public:
-  FlatPlan(NodeCount total, SimTime now, const std::vector<RunningAlloc>& running);
-
-  [[nodiscard]] std::unique_ptr<Plan> clone() const override;
-  [[nodiscard]] SimTime find_start(const Job& job, SimTime earliest) const override;
-  [[nodiscard]] bool fits_at(const Job& job, SimTime t) const override;
-  void commit(const Job& job, SimTime start) override;
-
-  /// Free capacity at time t (for tests).
-  [[nodiscard]] NodeCount free_at(SimTime t) const;
-
- private:
-  void occupy(SimTime from, SimTime to, NodeCount nodes);
-
-  NodeCount total_;
-  SimTime origin_;
-  /// Breakpoints of the free-capacity step function; points_[i].free holds
-  /// on [points_[i].time, points_[i+1].time). Last segment extends forever.
-  struct Step {
-    SimTime time;
-    NodeCount free;
-  };
-  std::vector<Step> steps_;
 };
 
 }  // namespace amjs

@@ -1,5 +1,7 @@
-// Machine abstraction: live allocation state plus a cloneable *Plan* that
-// schedulers use to reason about future availability.
+// Machine abstraction: live allocation state, plus the *Plan* interface
+// schedulers use to reason about future availability. Plans come from the
+// machine model's reservation calendar (sched/calendar), not from the
+// machine itself.
 //
 // Two implementations:
 //   * FlatMachine      — a simple pool of interchangeable nodes (generic
@@ -44,8 +46,10 @@ struct RunningAlloc {
 /// A what-if model of future occupancy, seeded from the live machine's
 /// running set. Schedulers commit hypothetical placements into a plan to
 /// build reservations and to evaluate window permutations; plans never
-/// touch the live machine. clone() is cheap by design (the window
-/// allocator's branch-and-bound copies plans at every tree level).
+/// touch the live machine. The window search walks its permutation tree
+/// by commit + undo_last_commit on one plan, so it clones a plan a couple
+/// of times per decision, not per branch (a calendar view's clone() copies
+/// only its own commitments).
 class Plan {
  public:
   virtual ~Plan() = default;
@@ -116,19 +120,12 @@ class Plan {
   /// for someone else silently breaks the reservation.
   [[nodiscard]] virtual int last_placement() const { return -1; }
 
-  /// Whether undo_last_commit() is available. Plans whose commit()
-  /// appends to internal ledgers can pop the most recent entry in O(1);
-  /// the window permutation search then explores branches by
-  /// commit + undo on a single plan instead of cloning at every tree
-  /// level. Plans that fold commits into a merged profile (e.g. a step
-  /// function) keep the default and the search falls back to clone().
-  [[nodiscard]] virtual bool supports_undo() const { return false; }
-
-  /// Exactly reverse the most recent commit() on this plan. Only valid
-  /// when supports_undo() is true, in strict LIFO order, and only for
-  /// hard commits (commit_soft is not undoable). last_placement() is
+  /// Exactly reverse the most recent commit() on this plan: every later
+  /// find_start / fits_at answer, and the placement a later commit picks,
+  /// equal those of the plan before that commit. Strict LIFO order, hard
+  /// commits only (commit_soft is not undoable). last_placement() is
   /// unspecified afterwards.
-  virtual void undo_last_commit() {}
+  virtual void undo_last_commit() = 0;
 };
 
 class Machine {
@@ -161,9 +158,6 @@ class Machine {
 
   /// Snapshot of running allocations (unspecified order).
   [[nodiscard]] virtual std::vector<RunningAlloc> running() const = 0;
-
-  /// Build a planning model of the future as of `now`.
-  [[nodiscard]] virtual std::unique_ptr<Plan> make_plan(SimTime now) const = 0;
 
   /// Capture the full allocation state. The returned object is detached
   /// from this machine: later mutations do not affect it.

@@ -162,10 +162,6 @@ std::vector<RunningAlloc> PartitionMachine::running() const {
   return out;
 }
 
-std::unique_ptr<Plan> PartitionMachine::make_plan(SimTime now) const {
-  return std::make_unique<PartitionPlan>(*this, now);
-}
-
 std::unique_ptr<MachineState> PartitionMachine::save_state() const {
   auto state = std::make_unique<PartitionMachineState>();
   state->config = config_;
@@ -191,127 +187,6 @@ void PartitionMachine::reset() {
   busy_mask_.reset();
   busy_nodes_ = 0;
   allocs_.clear();
-}
-
-PartitionPlan::PartitionPlan(const PartitionMachine& machine, SimTime now)
-    : machine_(&machine), origin_(now) {
-  for (const auto& [id, live] : machine.running_allocs()) {
-    (void)id;
-    const SimTime end = std::max(live.alloc.predicted_end, now);
-    if (end > now) {
-      pinned_.push_back({now, end, machine.partition_mask(live.partition)});
-      committed_.push_back({now, end, live.alloc.occupied});
-    }
-  }
-}
-
-std::unique_ptr<Plan> PartitionPlan::clone() const {
-  return std::make_unique<PartitionPlan>(*this);
-}
-
-int PartitionPlan::free_partition_during(const Job& job, SimTime t) const {
-  const SimTime end = t + job.walltime;
-  for (int idx : machine_->tier_partitions(job)) {
-    const auto& mask = machine_->partition_mask(idx);
-    bool conflict = false;
-    for (const auto& iv : pinned_) {
-      if (iv.end > t && iv.start < end && (iv.mask & mask).any()) {
-        conflict = true;
-        break;
-      }
-    }
-    if (!conflict) return idx;
-  }
-  return -1;
-}
-
-NodeCount PartitionPlan::peak_usage(SimTime t, Duration duration) const {
-  // Sweep the +occ/-occ boundaries of the commitments overlapping
-  // [t, t + duration): O(k log k) in the overlap count rather than
-  // O(|committed|^2) — this sits inside every feasibility check.
-  const SimTime end = t + duration;
-  NodeCount at_t = 0;
-  // Small stack buffer: overlap counts are typically a few dozen.
-  std::vector<std::pair<SimTime, NodeCount>> deltas;
-  deltas.reserve(committed_.size());
-  for (const auto& c : committed_) {
-    if (c.end <= t || c.start >= end) continue;
-    if (c.start <= t) {
-      at_t += c.occupied;
-    } else {
-      deltas.emplace_back(c.start, c.occupied);
-    }
-    if (c.end < end) deltas.emplace_back(c.end, -c.occupied);
-  }
-  std::sort(deltas.begin(), deltas.end());
-  NodeCount peak = at_t;
-  NodeCount current = at_t;
-  for (const auto& [time, delta] : deltas) {
-    current += delta;
-    peak = std::max(peak, current);
-  }
-  return peak;
-}
-
-bool PartitionPlan::feasible_at(const Job& job, SimTime t, NodeCount occ) const {
-  if (free_partition_during(job, t) < 0) return false;
-  return peak_usage(t, job.walltime) + occ <= machine_->total_nodes();
-}
-
-bool PartitionPlan::fits_at(const Job& job, SimTime t) const {
-  return feasible_at(job, t, machine_->occupancy(job));
-}
-
-SimTime PartitionPlan::find_start(const Job& job, SimTime earliest) const {
-  assert(machine_->fits(job));
-  earliest = std::max(earliest, origin_);
-  const NodeCount occ = machine_->occupancy(job);
-  // Candidate starts: `earliest` plus every time capacity or a partition
-  // frees up (running ends and commitment ends).
-  std::vector<SimTime> candidates;
-  candidates.push_back(earliest);
-  for (const auto& iv : pinned_) {
-    if (iv.end > earliest) candidates.push_back(iv.end);
-  }
-  for (const auto& c : committed_) {
-    if (c.end > earliest) candidates.push_back(c.end);
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  for (const SimTime t : candidates) {
-    if (feasible_at(job, t, occ)) return t;
-  }
-  // Past the last commitment the machine is empty.
-  assert(!candidates.empty());
-  return candidates.back();
-}
-
-void PartitionPlan::commit(const Job& job, SimTime start) {
-  const NodeCount occ = machine_->occupancy(job);
-  assert(feasible_at(job, start, occ) && "commit at an infeasible start");
-  const int idx = free_partition_during(job, start);
-  assert(idx >= 0);
-  pinned_.push_back(
-      {start, start + job.walltime, machine_->partition_mask(idx)});
-  committed_.push_back({start, start + job.walltime, occ});
-  last_placement_ = idx;
-}
-
-void PartitionPlan::undo_last_commit() {
-  // commit() appends exactly one pinned and one capacity interval; strict
-  // LIFO popping restores the pre-commit plan bit for bit.
-  assert(!pinned_.empty() && !committed_.empty());
-  pinned_.pop_back();
-  committed_.pop_back();
-  last_placement_ = -1;
-}
-
-void PartitionPlan::commit_soft(const Job& job, SimTime start) {
-  const NodeCount occ = machine_->occupancy(job);
-  assert(feasible_at(job, start, occ) && "commit at an infeasible start");
-  committed_.push_back({start, start + job.walltime, occ});
-  last_placement_ = -1;
 }
 
 }  // namespace amjs

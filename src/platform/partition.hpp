@@ -72,7 +72,6 @@ class PartitionMachine final : public Machine {
   [[nodiscard]] bool start(const Job& job, SimTime now, int placement = -1) override;
   void finish(JobId job, SimTime now) override;
   [[nodiscard]] std::vector<RunningAlloc> running() const override;
-  [[nodiscard]] std::unique_ptr<Plan> make_plan(SimTime now) const override;
   [[nodiscard]] std::unique_ptr<MachineState> save_state() const override;
   void restore_state(const MachineState& state) override;
   void reset() override;
@@ -101,7 +100,8 @@ class PartitionMachine final : public Machine {
     int partition = -1;
   };
 
-  /// Live allocations keyed by job (used to seed PartitionPlan).
+  /// Live allocations keyed by job (the partition calendar seeds its
+  /// holds from these).
   [[nodiscard]] const std::map<JobId, LiveAlloc>& running_allocs() const {
     return allocs_;
   }
@@ -133,65 +133,6 @@ struct PartitionMachineState final : MachineState {
   PartitionMachine::LeafMask busy_mask;
   NodeCount busy_nodes = 0;
   std::map<JobId, PartitionMachine::LiveAlloc> allocs;
-};
-
-/// Plan over the partition machine.
-///
-/// Two layers of future knowledge, mirroring how BG/P-class systems
-/// actually plan:
-///   * *running* jobs occupy concrete partitions (leaf-mask intervals
-///     until their predicted ends) — contiguity against them is exact;
-///   * *committed* (reserved) jobs occupy capacity (their tier's node
-///     count) but no specific partition — a partition cannot be promised
-///     hours ahead on a machine whose jobs end at unpredictable times, so
-///     reservations are capacity-shadows that may slip slightly at
-///     realization time (exactly as in Cobalt; the simulator re-plans at
-///     every event, bounding the slip to one scheduling iteration).
-///
-/// find_start(job, t) therefore requires BOTH a tier partition free of
-/// running-job conflicts over [t, t+walltime) AND enough capacity net of
-/// all commitments throughout that window.
-class PartitionPlan final : public Plan {
- public:
-  PartitionPlan(const PartitionMachine& machine, SimTime now);
-
-  [[nodiscard]] std::unique_ptr<Plan> clone() const override;
-  [[nodiscard]] SimTime find_start(const Job& job, SimTime earliest) const override;
-  [[nodiscard]] bool fits_at(const Job& job, SimTime t) const override;
-  void commit(const Job& job, SimTime start) override;
-  void commit_soft(const Job& job, SimTime start) override;
-  [[nodiscard]] int last_placement() const override { return last_placement_; }
-  [[nodiscard]] bool supports_undo() const override { return true; }
-  void undo_last_commit() override;
-
- private:
-  struct MaskInterval {
-    SimTime start;
-    SimTime end;
-    PartitionMachine::LeafMask mask;
-  };
-  struct CapacityInterval {
-    SimTime start;
-    SimTime end;
-    NodeCount occupied;
-  };
-
-  /// Partition of the job's tier with no *running-job* conflict
-  /// throughout [t, t + walltime), or -1.
-  [[nodiscard]] int free_partition_during(const Job& job, SimTime t) const;
-
-  /// Peak node usage (running + committed) over [t, t + duration).
-  [[nodiscard]] NodeCount peak_usage(SimTime t, Duration duration) const;
-
-  [[nodiscard]] bool feasible_at(const Job& job, SimTime t, NodeCount occ) const;
-
-  const PartitionMachine* machine_;  // non-owning; outlives the plan
-  SimTime origin_;
-  /// Concrete partition holds: running jobs plus hard commits.
-  std::vector<MaskInterval> pinned_;
-  /// Capacity ledger: every hold (running, hard, soft) contributes here.
-  std::vector<CapacityInterval> committed_;
-  int last_placement_ = -1;
 };
 
 }  // namespace amjs

@@ -1,47 +1,36 @@
-// Incremental reservation calendar — the scheduling hot path's persistent
-// plan source.
+// Incremental reservation calendars — the library's only source of
+// scheduler Plans.
 //
-// The seed implementation rebuilds a Plan from the live machine at every
-// scheduler pass (Machine::make_plan walks the running set and re-derives
-// the whole free-capacity profile), and the window permutation search
-// deep-clones that plan at every branch. A PlanProvider replaces both
-// rebuilds with a long-lived calendar mutated by event deltas:
+// A PlanProvider is a long-lived calendar over one machine, mutated by
+// event deltas instead of rebuilt from the running set at every pass:
 //
 //   * job start / job end deltas are *recorded* as they happen and
 //     *applied* lazily at the next plan() call — a scheduler's live plan
 //     view must not see mid-pass machine mutations (the scheduler already
-//     committed those jobs into its own view, exactly as the seed plan
-//     semantics require);
-//   * plan() hands out a Plan-compatible view whose commits land in a
-//     small per-pass overlay; the shared base profile is never touched by
-//     a view, so Plan::clone() copies only the overlay (copy-on-write) and
-//     the W! window search stops paying O(profile) per branch;
+//     committed those jobs into its own view);
+//   * plan() hands out a Plan view whose commits land in a small per-pass
+//     overlay; the shared base profile is never touched by a view, so the
+//     window search walks its permutation tree by commit + undo on one
+//     view, and Plan::clone() copies only the overlay;
 //   * find_start results against the bare base profile are memoized per
-//     (job, earliest-range) and invalidated by the calendar epoch, which
-//     bumps whenever an applied delta changes the profile.
+//     (job, earliest-range) in a FindStartMemo and invalidated by the
+//     calendar epoch, which bumps whenever an applied delta changes the
+//     profile.
 //
-// Equivalence contract: a calendar-backed view must answer find_start /
-// fits_at / commit byte-identically to the Plan the machine would build
-// from scratch at the same instant. The conformance and differential
-// suites in tests/sched hold both implementations side by side; the seed
-// path stays selectable through PlanMode::kRebuild.
+// Equivalence contract: a calendar view must answer find_start / fits_at /
+// commit byte-identically to a plan rebuilt from scratch from the live
+// machine at the same instant. Those rebuild plans live on as the test
+// oracle (tests/support/reference_plans.*); the conformance and
+// differential suites in tests/sched hold both side by side.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 
 #include "platform/machine.hpp"
 
 namespace amjs {
-
-/// How a simulation sources its scheduler plans.
-enum class PlanMode : std::uint8_t {
-  /// Incremental calendar (default): persistent profile + event deltas.
-  kCalendar,
-  /// Seed behaviour: Machine::make_plan rebuild at every pass (the A/B
-  /// conformance reference).
-  kRebuild,
-};
 
 /// A long-lived source of Plan views over one machine's future.
 ///
@@ -75,24 +64,45 @@ class PlanProvider {
   [[nodiscard]] virtual std::uint64_t epoch() const { return 0; }
 };
 
-/// Seed-compatible provider: every plan() call rebuilds from the machine.
-class RebuildPlanProvider final : public PlanProvider {
+/// A calendar's find_start memo for views with no commitments of their
+/// own. A start s found from earliest_lo answers any later query for the
+/// same job shape with earliest in [earliest_lo, s]: nothing in
+/// [earliest_lo, s) is feasible, so the least feasible start at or after
+/// such an earliest is still s (property (b) of the Plan contract). Valid
+/// within one calendar epoch; the owner clears it at every epoch bump.
+class FindStartMemo {
  public:
-  explicit RebuildPlanProvider(const Machine& machine) : machine_(&machine) {}
-
-  [[nodiscard]] std::unique_ptr<Plan> plan(SimTime now) override {
-    return machine_->make_plan(now);
+  /// The memoized start for `job` from `earliest`, computing it with
+  /// `scan()` (and remembering it) when no entry covers `earliest`.
+  template <typename Scan>
+  [[nodiscard]] SimTime find_start(const Job& job, SimTime earliest, Scan&& scan) {
+    const auto it = entries_.find(job.id);
+    if (it != entries_.end() && it->second.nodes == job.nodes &&
+        it->second.walltime == job.walltime && earliest >= it->second.earliest_lo &&
+        earliest <= it->second.start) {
+      return it->second.start;
+    }
+    const SimTime start = scan();
+    entries_[job.id] = Entry{earliest, start, job.nodes, job.walltime};
+    return start;
   }
 
+  void clear() { entries_.clear(); }
+
  private:
-  const Machine* machine_;
+  struct Entry {
+    SimTime earliest_lo;
+    SimTime start;
+    NodeCount nodes;
+    Duration walltime;
+  };
+  std::map<JobId, Entry> entries_;
 };
 
-/// Provider for `machine` under `mode`. kCalendar returns the incremental
-/// calendar matching the machine's concrete model; machine models without
-/// a calendar implementation (or kRebuild) fall back to the seed rebuild
-/// path, so unknown machines keep working unchanged.
-[[nodiscard]] std::unique_ptr<PlanProvider> make_plan_provider(
-    const Machine& machine, PlanMode mode);
+/// The incremental calendar of `machine`'s concrete model (FlatCalendar,
+/// PartitionCalendar). A machine model without a calendar has no plans:
+/// this aborts, and such a machine runs only under a Simulator handed a
+/// PlanProvider explicitly.
+[[nodiscard]] std::unique_ptr<PlanProvider> make_plan_provider(const Machine& machine);
 
 }  // namespace amjs

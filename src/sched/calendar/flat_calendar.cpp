@@ -19,6 +19,12 @@ std::size_t segment_index(const std::vector<Step>& steps, SimTime t) {
   return static_cast<std::size_t>(it - steps.begin()) - 1;
 }
 
+/// First breakpoint at or after `t`.
+std::vector<Step>::iterator lower_breakpoint(std::vector<Step>& steps, SimTime t) {
+  return std::lower_bound(steps.begin(), steps.end(), t,
+                          [](const Step& s, SimTime time) { return s.time < time; });
+}
+
 }  // namespace
 
 FlatCalendar::FlatCalendar(const FlatMachine& machine) : machine_(&machine) {}
@@ -33,8 +39,8 @@ void FlatCalendar::rebuild(SimTime now) {
   steps_.push_back({now, machine_->total_nodes()});
   holds_.clear();
   for (const RunningAlloc& alloc : machine_->running()) {
-    // Same convention as FlatPlan's constructor: a job at/after its
-    // predicted end contributes nothing (the simulator resolves it).
+    // A job at/after its predicted end contributes nothing (the simulator
+    // resolves it at this instant).
     const SimTime end = std::max(alloc.predicted_end, now);
     if (end > now) {
       occupy(now, end, alloc.occupied);
@@ -97,9 +103,7 @@ void FlatCalendar::occupy(SimTime from, SimTime to, NodeCount nodes) {
   assert(from < to);
   assert(nodes != 0);
   auto ensure_breakpoint = [&](SimTime t) {
-    auto it = std::lower_bound(
-        steps_.begin(), steps_.end(), t,
-        [](const Step& s, SimTime time) { return s.time < time; });
+    const auto it = lower_breakpoint(steps_, t);
     if (it != steps_.end() && it->time == t) return;
     assert(it != steps_.begin() && "breakpoint before the profile origin");
     const NodeCount free_before = std::prev(it)->free;
@@ -166,10 +170,9 @@ SimTime FlatCalendarPlan::scan_find_start(const Job& job, SimTime earliest) cons
   assert(job.nodes <= total_);
   assert(base_gen_ == base_->gen_ && "stale plan view used across passes");
   const std::vector<FlatCalendar::Step>& base = base_->steps_;
-  // Same strategy as FlatPlan::find_start, over the merged (base free
-  // minus overlay used) step function: viable starts are `earliest` or a
-  // merged breakpoint; a blocking segment restarts the candidate at the
-  // breakpoint after it. One forward scan total.
+  // One forward scan over the merged (base free minus overlay used) step
+  // function: viable starts are `earliest` or a merged breakpoint; a
+  // blocking segment restarts the candidate at the breakpoint after it.
   SimTime candidate = earliest;
   std::size_t i = segment_index(base, candidate);
   std::size_t j = segment_index(overlay_, candidate);
@@ -195,22 +198,16 @@ SimTime FlatCalendarPlan::scan_find_start(const Job& job, SimTime earliest) cons
 
 SimTime FlatCalendarPlan::find_start(const Job& job, SimTime earliest) const {
   earliest = std::max(earliest, origin_);
-  if (committed_any_) return scan_find_start(job, earliest);
+  if (!log_.empty()) return scan_find_start(job, earliest);
+  return base_->memo_.find_start(job, earliest,
+                                 [&] { return scan_find_start(job, earliest); });
+}
 
-  // Bare-profile query: memoizable. A cached start s computed from
-  // earliest_lo answers any query with earliest in [earliest_lo, s] —
-  // there is no feasible start in [earliest_lo, s), so the minimum
-  // feasible start at or after any such earliest is still s.
-  const auto it = base_->memo_.find(job.id);
-  if (it != base_->memo_.end() && it->second.nodes == job.nodes &&
-      it->second.walltime == job.walltime &&
-      earliest >= it->second.earliest_lo && earliest <= it->second.start) {
-    return it->second.start;
+void FlatCalendarPlan::add_usage(SimTime from, SimTime to, NodeCount nodes) {
+  for (auto& s : overlay_) {
+    if (s.time >= to) break;
+    if (s.time >= from) s.free += nodes;
   }
-  const SimTime start = scan_find_start(job, earliest);
-  base_->memo_[job.id] =
-      FlatCalendar::MemoEntry{earliest, start, job.nodes, job.walltime};
-  return start;
 }
 
 void FlatCalendarPlan::commit(const Job& job, SimTime start) {
@@ -219,21 +216,29 @@ void FlatCalendarPlan::commit(const Job& job, SimTime start) {
   const SimTime end = start + job.walltime;
   assert(start < end);
   auto ensure_breakpoint = [&](SimTime t) {
-    auto it = std::lower_bound(
-        overlay_.begin(), overlay_.end(), t,
-        [](const FlatCalendar::Step& s, SimTime time) { return s.time < time; });
-    if (it != overlay_.end() && it->time == t) return;
+    const auto it = lower_breakpoint(overlay_, t);
+    if (it != overlay_.end() && it->time == t) return false;
     assert(it != overlay_.begin());
     const NodeCount used_before = std::prev(it)->free;
-    overlay_.insert(it, FlatCalendar::Step{t, used_before});
+    overlay_.insert(it, Step{t, used_before});
+    return true;
   };
-  ensure_breakpoint(start);
-  ensure_breakpoint(end);
-  for (auto& s : overlay_) {
-    if (s.time >= end) break;
-    if (s.time >= start) s.free += job.nodes;
-  }
-  committed_any_ = true;
+  const bool inserted_start = ensure_breakpoint(start);
+  const bool inserted_end = ensure_breakpoint(end);
+  add_usage(start, end, job.nodes);
+  log_.push_back({start, end, job.nodes, inserted_start, inserted_end});
+}
+
+void FlatCalendarPlan::undo_last_commit() {
+  // Once the nodes are taken back off, a breakpoint the commit inserted
+  // again carries its predecessor's value; erasing it restores the
+  // overlay bit for bit.
+  assert(!log_.empty());
+  const Commit c = log_.back();
+  log_.pop_back();
+  add_usage(c.start, c.end, -c.nodes);
+  if (c.inserted_end) overlay_.erase(lower_breakpoint(overlay_, c.end));
+  if (c.inserted_start) overlay_.erase(lower_breakpoint(overlay_, c.start));
 }
 
 }  // namespace amjs

@@ -1,6 +1,6 @@
 // Incremental calendar over a FlatMachine: a persistent free-capacity step
-// profile (the same representation as FlatPlan) updated by job start/end
-// deltas instead of rebuilt from the running set every pass.
+// profile updated by job start/end deltas instead of rebuilt from the
+// running set every pass.
 #pragma once
 
 #include <map>
@@ -29,9 +29,6 @@ class FlatCalendar final : public PlanProvider {
     SimTime time;
     NodeCount free;
   };
-
-  /// The base profile (tests only; views read it through the plan).
-  [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
 
  private:
   friend class FlatCalendarPlan;
@@ -62,21 +59,13 @@ class FlatCalendar final : public PlanProvider {
   /// Bumps on any structural change incl. trims (view invalidation).
   std::uint64_t gen_ = 0;
 
-  /// find_start memo: valid for any earliest in [earliest_lo, start]
-  /// within one epoch (feasibility ahead of the cached start is
-  /// unaffected by moving the query origin later — see find_start).
-  struct MemoEntry {
-    SimTime earliest_lo;
-    SimTime start;
-    NodeCount nodes;
-    Duration walltime;
-  };
-  std::map<JobId, MemoEntry> memo_;
+  /// find_start answers over the bare profile, cleared per epoch.
+  FindStartMemo memo_;
 };
 
 /// Plan view over a FlatCalendar: shared immutable base profile plus a
-/// private overlay step function of this pass's commitments. clone()
-/// copies the overlay only.
+/// private overlay step function of this pass's commitments, with an undo
+/// log. clone() copies the overlay and the log only.
 class FlatCalendarPlan final : public Plan {
  public:
   FlatCalendarPlan(FlatCalendar& base, SimTime now);
@@ -85,9 +74,22 @@ class FlatCalendarPlan final : public Plan {
   [[nodiscard]] SimTime find_start(const Job& job, SimTime earliest) const override;
   [[nodiscard]] bool fits_at(const Job& job, SimTime t) const override;
   void commit(const Job& job, SimTime start) override;
+  void undo_last_commit() override;
 
  private:
+  /// One commit: its span and nodes, and which of its two breakpoints it
+  /// inserted into the overlay (the others were there already).
+  struct Commit {
+    SimTime start;
+    SimTime end;
+    NodeCount nodes;
+    bool inserted_start;
+    bool inserted_end;
+  };
+
   [[nodiscard]] SimTime scan_find_start(const Job& job, SimTime earliest) const;
+  /// Add `nodes` (negative: remove) to the overlay on [from, to).
+  void add_usage(SimTime from, SimTime to, NodeCount nodes);
 
   FlatCalendar* base_;  // non-owning; outlives the view
   SimTime origin_;
@@ -95,7 +97,8 @@ class FlatCalendarPlan final : public Plan {
   std::uint64_t base_gen_;  // staleness check (debug)
   /// Committed usage step function over [origin, inf); starts flat zero.
   std::vector<FlatCalendar::Step> overlay_;
-  bool committed_any_ = false;
+  /// Commits in order; empty exactly when the overlay is flat zero.
+  std::vector<Commit> log_;
 };
 
 }  // namespace amjs

@@ -15,8 +15,8 @@ void PartitionCalendar::resync() {
 void PartitionCalendar::rebuild(SimTime now) {
   holds_.clear();
   for (const auto& [id, live] : machine_->running_allocs()) {
-    // Same convention as PartitionPlan's constructor: jobs at/after their
-    // predicted end contribute nothing (the simulator resolves them).
+    // Jobs at/after their predicted end contribute nothing (the simulator
+    // resolves them at this instant).
     const SimTime end = std::max(live.alloc.predicted_end, now);
     if (end > now) {
       holds_.push_back(Hold{id, now, end,
@@ -246,8 +246,8 @@ NodeCount PartitionCalendarPlan::peak_usage(SimTime t, Duration duration) const 
   // base alone peaks at t. Adding the overlay, the combined usage can only
   // rise where an overlay commitment begins — so the exact peak over
   // [t, t+duration) is the max of the usage at t and at each overlay start
-  // inside the window, the same value PartitionPlan's full boundary sweep
-  // computes in O((holds + overlay) log) per query.
+  // inside the window, the same value a full sweep over every hold's
+  // boundaries computes in O((holds + overlay) log) per query.
   const SimTime end = t + duration;
   const auto& tl = base_->timeline();
   const auto usage_at = [&](SimTime s) {
@@ -289,11 +289,10 @@ SimTime PartitionCalendarPlan::scan_find_start(const Job& job,
   const auto& tl = base_->timeline();
 
   // Candidate starts: `earliest` plus every time capacity or a partition
-  // frees up — identical to PartitionPlan::find_start's candidate set
-  // (base hold ends appear once here where the seed lists them in both
-  // pinned_ and committed_). The timeline's end list is already sorted and
-  // distinct, so merge-walking it against the few overlay ends visits the
-  // seed's sort+unique candidate sequence without materializing it.
+  // frees up (base hold ends and overlay ends). The timeline's end list is
+  // already sorted and distinct, so merge-walking it against the few
+  // overlay ends visits the sorted, distinct candidate sequence without
+  // materializing it.
   std::vector<SimTime>& ovl_ends = scratch_ends_;
   ovl_ends.clear();
   for (const auto& iv : pinned_ovl_) {
@@ -330,21 +329,8 @@ SimTime PartitionCalendarPlan::find_start(const Job& job,
   if (!pinned_ovl_.empty() || !cap_ovl_.empty()) {
     return scan_find_start(job, earliest);
   }
-
-  // Bare-profile query: memoizable with the same earliest-range validity
-  // as the flat calendar (base holds all start at or before the plan
-  // origin, so no candidate between earliest_lo and the cached start can
-  // become feasible by moving the query origin later).
-  const auto it = base_->memo_.find(job.id);
-  if (it != base_->memo_.end() && it->second.nodes == job.nodes &&
-      it->second.walltime == job.walltime &&
-      earliest >= it->second.earliest_lo && earliest <= it->second.start) {
-    return it->second.start;
-  }
-  const SimTime start = scan_find_start(job, earliest);
-  base_->memo_[job.id] =
-      PartitionCalendar::MemoEntry{earliest, start, job.nodes, job.walltime};
-  return start;
+  return base_->memo_.find_start(job, earliest,
+                                 [&] { return scan_find_start(job, earliest); });
 }
 
 void PartitionCalendarPlan::commit(const Job& job, SimTime start) {

@@ -3,7 +3,6 @@
 // of re-derived from the allocation table every pass.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "platform/partition.hpp"
@@ -106,17 +105,8 @@ class PartitionCalendar final : public PlanProvider {
   /// Bumps on any structural change incl. compaction (view invalidation).
   std::uint64_t gen_ = 0;
 
-  /// find_start memo: valid for any earliest in [earliest_lo, start]
-  /// within one epoch (see FlatCalendar::MemoEntry for the argument; it
-  /// holds here because base holds all begin at or before the plan origin,
-  /// so usage is non-increasing over the queried future).
-  struct MemoEntry {
-    SimTime earliest_lo;
-    SimTime start;
-    NodeCount nodes;
-    Duration walltime;
-  };
-  std::map<JobId, MemoEntry> memo_;
+  /// find_start answers over the bare hold set, cleared per epoch.
+  FindStartMemo memo_;
 };
 
 /// Plan view over a PartitionCalendar: shared immutable base holds plus
@@ -132,7 +122,6 @@ class PartitionCalendarPlan final : public Plan {
   void commit(const Job& job, SimTime start) override;
   void commit_soft(const Job& job, SimTime start) override;
   [[nodiscard]] int last_placement() const override { return last_placement_; }
-  [[nodiscard]] bool supports_undo() const override { return true; }
   void undo_last_commit() override;
 
  private:

@@ -152,11 +152,16 @@ void Scheduler::on_metric_check(SchedContext& /*ctx*/, double /*queue_depth_minu
 void Scheduler::restore_state(const SchedulerState& /*state*/) { reset(); }
 
 Simulator::Simulator(Machine& machine, Scheduler& scheduler, SimConfig config)
+    : Simulator(machine, scheduler, std::move(config), make_plan_provider(machine)) {}
+
+Simulator::Simulator(Machine& machine, Scheduler& scheduler, SimConfig config,
+                     std::unique_ptr<PlanProvider> plans)
     : machine_(machine),
       scheduler_(scheduler),
       config_(std::move(config)),
-      plan_provider_(make_plan_provider(machine, config_.plan_mode)) {
+      plan_provider_(std::move(plans)) {
   assert(config_.metric_check_interval > 0);
+  assert(plan_provider_ != nullptr);
 }
 
 double Simulator::queue_depth_minutes() const {

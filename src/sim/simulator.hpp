@@ -52,11 +52,10 @@ class SchedContext {
   [[nodiscard]] std::vector<JobId> sorted_queue(SortSpec spec) const;
 
   /// A Plan view of the machine's future as of now(), served by the
-  /// simulation's PlanProvider (SimConfig::plan_mode). Under the default
-  /// incremental calendar this costs O(deltas since the last call)
-  /// instead of a full rebuild, and answers find_start / fits_at /
-  /// commit byte-identically to machine().make_plan(now()). The view is
-  /// valid until the next plan() call (one scheduler pass).
+  /// simulation's PlanProvider (the machine model's incremental calendar
+  /// unless the Simulator was handed another). It costs O(deltas since
+  /// the last call) instead of a rebuild from the running set. The view
+  /// is valid until the next plan() call (one scheduler pass).
   [[nodiscard]] std::unique_ptr<Plan> plan() const;
 
   [[nodiscard]] const Job& job(JobId id) const;
@@ -182,12 +181,6 @@ struct SimConfig {
   /// branch-cheap: the only cost of disabled tracing is pointer tests.
   obs::TraceSink* trace_sink = nullptr;
 
-  /// How SchedContext::plan() sources its plans: the incremental
-  /// reservation calendar (default), or the seed per-pass rebuild via
-  /// Machine::make_plan (the A/B conformance reference). Both produce
-  /// byte-identical schedules; kRebuild exists so tests can prove it.
-  PlanMode plan_mode = PlanMode::kCalendar;
-
   /// If non-zero, stop after exactly this many scheduler passes. Bench
   /// harnesses use it to pin the iteration count across configurations so
   /// per-iteration costs are an apples-to-apples series.
@@ -210,8 +203,14 @@ enum class ResumeScheduler {
 class Simulator {
  public:
   /// `machine` and `scheduler` are borrowed for the duration of run();
-  /// both are reset() at the start of every run.
+  /// both are reset() at the start of every run. Plans come from the
+  /// machine model's calendar (make_plan_provider).
   Simulator(Machine& machine, Scheduler& scheduler, SimConfig config = {});
+
+  /// Same, with plans from `plans`, a provider over `machine`: how tests
+  /// run a reference plan, or a machine model that has no calendar.
+  Simulator(Machine& machine, Scheduler& scheduler, SimConfig config,
+            std::unique_ptr<PlanProvider> plans);
 
   /// Simulate the full trace and return the realized schedule + series.
   [[nodiscard]] SimResult run(const JobTrace& trace);
@@ -257,9 +256,9 @@ class Simulator {
   Machine& machine_;
   Scheduler& scheduler_;
   SimConfig config_;
-  /// Long-lived plan source (SimConfig::plan_mode); fed job start/finish
-  /// deltas and resynced on reset/restore so SchedContext::plan() never
-  /// pays a from-scratch rebuild on the hot path.
+  /// Long-lived plan source; fed job start/finish deltas and resynced on
+  /// reset/restore so SchedContext::plan() never pays a from-scratch
+  /// rebuild on the hot path.
   std::unique_ptr<PlanProvider> plan_provider_;
   /// Priority-order cache behind SchedContext::sorted_queue; invalidated
   /// at every queue mutation.

@@ -123,6 +123,16 @@ Result<std::uint64_t> ByteReader::count(std::uint64_t max) {
   return v;
 }
 
+Result<std::int64_t> ByteReader::time() {
+  auto v = i64();
+  if (!v) return v.error();
+  if (v.value() < 0 || v.value() > kMaxWireTime) {
+    return Error{amjs::format("time {} at offset {} outside [0, {}]", v.value(),
+                              pos_ - 8, kMaxWireTime)};
+  }
+  return v;
+}
+
 void write_series(ByteWriter& w, const SampledSeries& series) {
   w.u64(series.size());
   for (const TimePoint& p : series.points()) {

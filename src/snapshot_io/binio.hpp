@@ -20,6 +20,14 @@
 
 namespace amjs::snapshot_io {
 
+/// Largest time or duration a decoder accepts from a peer or a file (a
+/// job's submit, runtime and walltime, a twin horizon, a snapshot's now):
+/// 2^36 s, over 2,000 years. Schedules add such values up (t + walltime in
+/// the plans, now + horizon in the twin); bounding each keeps those sums
+/// over one frame's jobs far below INT64_MAX (twinsvc/frame.hpp asserts
+/// it against the frame size cap).
+inline constexpr std::int64_t kMaxWireTime = std::int64_t{1} << 36;
+
 /// CRC-32 (IEEE 802.3 polynomial, the zlib one) over `data`.
 [[nodiscard]] std::uint32_t crc32(std::string_view data);
 
@@ -61,6 +69,9 @@ class ByteReader {
   /// A size/count field about to drive an allocation: rejects values past
   /// `max` (a corrupt length must not become a 2^60-element reserve).
   [[nodiscard]] Result<std::uint64_t> count(std::uint64_t max);
+
+  /// A time or duration field: rejects values outside [0, kMaxWireTime].
+  [[nodiscard]] Result<std::int64_t> time();
 
   [[nodiscard]] std::size_t offset() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }

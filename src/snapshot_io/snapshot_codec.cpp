@@ -229,7 +229,7 @@ Result<std::string> encode_payload(const SimSnapshot& snapshot) {
 Result<SimSnapshot> decode_payload(std::string_view payload) {
   ByteReader r(payload);
   SimSnapshot snapshot;
-  auto now = r.i64();
+  auto now = r.time();
   if (!now) return now.error();
   snapshot.now = now.value();
   auto events = read_events(r);

@@ -56,8 +56,7 @@ Result<std::shared_ptr<const World>> World::build(Dataset dataset,
   world->version_ = version;
   world->machine_ = world->dataset_.machine.make();
   world->machine_->restore_state(*world->dataset_.snapshot.machine);
-  world->provider_ =
-      make_plan_provider(*world->machine_, PlanMode::kCalendar);
+  world->provider_ = make_plan_provider(*world->machine_);
   world->plan_ = world->provider_->plan(world->dataset_.snapshot.now);
   return std::shared_ptr<const World>(std::move(world));
 }

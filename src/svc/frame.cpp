@@ -124,7 +124,7 @@ Result<DatasetSpec> decode_dataset_spec(std::string_view body) {
   auto seed = r.u64();
   if (!seed) return seed.error();
   spec.seed = seed.value();
-  auto horizon = r.i64();
+  auto horizon = r.time();
   if (!horizon) return horizon.error();
   spec.horizon = horizon.value();
   auto rate = r.f64();
@@ -133,10 +133,10 @@ Result<DatasetSpec> decode_dataset_spec(std::string_view body) {
   auto check = r.u64();
   if (!check) return check.error();
   spec.snapshot_check = check.value();
-  auto twin_horizon = r.i64();
+  auto twin_horizon = r.time();
   if (!twin_horizon) return twin_horizon.error();
   spec.twin.horizon = twin_horizon.value();
-  auto twin_interval = r.i64();
+  auto twin_interval = r.time();
   if (!twin_interval) return twin_interval.error();
   spec.twin.metric_check_interval = twin_interval.value();
   auto queue_weight = r.f64();

@@ -140,13 +140,13 @@ Result<Job> read_job(ByteReader& r) {
   auto id = r.i64();
   if (!id) return id.error();
   job.id = static_cast<JobId>(id.value());
-  auto submit = r.i64();
+  auto submit = r.time();
   if (!submit) return submit.error();
   job.submit = submit.value();
-  auto runtime = r.i64();
+  auto runtime = r.time();
   if (!runtime) return runtime.error();
   job.runtime = runtime.value();
-  auto walltime = r.i64();
+  auto walltime = r.time();
   if (!walltime) return walltime.error();
   job.walltime = walltime.value();
   auto nodes = r.i64();
@@ -167,11 +167,9 @@ void write_job_trace(ByteWriter& w, const JobTrace& trace) {
 }
 
 Result<JobTrace> read_job_trace(ByteReader& r) {
-  // Six fixed i64 fields plus the user string's length prefix: no encoded
-  // job is smaller, so a CRC-valid frame cannot declare more jobs than the
-  // remaining payload could hold — reserve() stays proportional to the
-  // bytes actually received, never to a crafted count.
-  constexpr std::uint64_t kMinEncodedJobBytes = 7 * 8;
+  // A CRC-valid frame cannot declare more jobs than the remaining payload
+  // could hold — reserve() stays proportional to the bytes actually
+  // received, never to a crafted count.
   auto n = r.count(r.remaining() / kMinEncodedJobBytes);
   if (!n) return n.error();
   std::vector<Job> jobs;
@@ -468,13 +466,13 @@ Result<EvalRequest> decode_eval_request(std::string_view body) {
   auto machine = read_machine_spec(r);
   if (!machine) return machine.error();
   request.machine = machine.value();
-  auto horizon = r.i64();
+  auto horizon = r.time();
   if (!horizon) return horizon.error();
   request.twin.horizon = horizon.value();
-  auto interval = r.i64();
+  auto interval = r.time();
   if (!interval) return interval.error();
   request.twin.metric_check_interval = interval.value();
-  if (request.twin.horizon < 0 || request.twin.metric_check_interval <= 0) {
+  if (request.twin.metric_check_interval <= 0) {
     return Error{format("bad twin horizon {} / check interval {}",
                         request.twin.horizon, request.twin.metric_check_interval)};
   }

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,6 +56,18 @@ inline constexpr std::size_t kFrameOverhead = kFrameHeaderSize + 4;
 /// Upper bound on a sane payload (a corrupt length field must not drive a
 /// multi-gigabyte allocation).
 inline constexpr std::uint64_t kMaxFramePayload = 256ull << 20;
+
+/// No encoded job is smaller: six fixed i64 fields plus the user string's
+/// length prefix (see write_job).
+inline constexpr std::uint64_t kMinEncodedJobBytes = 7 * 8;
+
+// One frame carries at most kMaxFramePayload / kMinEncodedJobBytes jobs,
+// each time field at most snapshot_io::kMaxWireTime. Run back to back
+// from the latest submit, they all end within (jobs + 1) x that bound,
+// which must stay at least 16 times below INT64_MAX.
+static_assert((kMaxFramePayload / kMinEncodedJobBytes + 1) *
+                  static_cast<std::uint64_t>(snapshot_io::kMaxWireTime) <
+              static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max() / 16));
 
 enum class FrameType : std::uint8_t {
   kError = 4,  // server -> client, a rejected or failed request

@@ -5,9 +5,8 @@
 #include <memory>
 
 #include "platform/flat.hpp"
-#include "platform/partition.hpp"
 #include "sched/calendar/calendar.hpp"
-#include "support/no_undo_plan.hpp"
+#include "support/reference_plans.hpp"
 #include "util/rng.hpp"
 
 namespace amjs {
@@ -25,7 +24,8 @@ Job make_job(JobId id, NodeCount nodes, Duration walltime) {
 
 TEST(WindowAllocTest, EmptyWindow) {
   FlatMachine m(100);
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   WindowAllocator alloc(5);
   const auto d = alloc.decide(*plan, {}, 50);
   EXPECT_TRUE(d.placements.empty());
@@ -35,7 +35,8 @@ TEST(WindowAllocTest, EmptyWindow) {
 TEST(WindowAllocTest, SingleJobPlacesAtEarliest) {
   FlatMachine m(100);
   ASSERT_TRUE(m.start(make_job(99, 100, 500), 0));
-  const auto plan = m.make_plan(10);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(10);
   WindowAllocator alloc(5);
   const Job j = make_job(0, 60, 300);
   const auto d = alloc.decide(*plan, {&j}, 10);
@@ -60,7 +61,8 @@ TEST(WindowAllocTest, ReorderingBeatsPriorityOrderWhenItPacksBetter) {
   // both orders computed by brute force below.
   FlatMachine m(10);
   ASSERT_TRUE(m.start(make_job(99, 8, 100), 0));
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   const Job a = make_job(0, 2, 1000);
   const Job b = make_job(1, 10, 100);
   WindowAllocator alloc(5);
@@ -85,7 +87,8 @@ TEST(WindowAllocTest, TiePrefersPriorityOrder) {
   // Two identical jobs: either order gives the same makespan; the chosen
   // permutation must be the identity (fairness-preserving).
   FlatMachine m(100);
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   const Job a = make_job(0, 60, 300);
   const Job b = make_job(1, 60, 300);
   WindowAllocator alloc(5);
@@ -97,7 +100,8 @@ TEST(WindowAllocTest, TiePrefersPriorityOrder) {
 
 TEST(WindowAllocTest, WindowTruncatesAtMaxWindow) {
   FlatMachine m(100);
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   std::vector<Job> jobs;
   std::vector<const Job*> window;
   for (JobId i = 0; i < 6; ++i) jobs.push_back(make_job(i, 10, 100));
@@ -117,7 +121,8 @@ TEST(WindowAllocTest, MakespanNeverWorseThanIdentity) {
     for (JobId r = 100; r < 104; ++r) {
       (void)m.start(make_job(r, rng.uniform_int(8, 32), rng.uniform_int(100, 900)), 0);
     }
-    const auto plan = m.make_plan(0);
+    const auto calendar = make_plan_provider(m);
+    const auto plan = calendar->plan(0);
     std::vector<Job> jobs;
     for (JobId i = 0; i < 4; ++i) {
       jobs.push_back(make_job(i, rng.uniform_int(1, 64), rng.uniform_int(50, 2000)));
@@ -145,7 +150,8 @@ TEST(WindowAllocTest, PlacementsAreFeasible) {
   for (int trial = 0; trial < 20; ++trial) {
     FlatMachine m(64);
     (void)m.start(make_job(100, rng.uniform_int(16, 48), rng.uniform_int(200, 800)), 0);
-    const auto plan = m.make_plan(0);
+    const auto calendar = make_plan_provider(m);
+    const auto plan = calendar->plan(0);
     std::vector<Job> jobs;
     for (JobId i = 0; i < 3; ++i) {
       jobs.push_back(make_job(i, rng.uniform_int(1, 64), rng.uniform_int(50, 1000)));
@@ -170,7 +176,8 @@ TEST(WindowAllocTest, SearchSkippedWhenAllStartNow) {
   // Identity already starts everything -> the search is provably useless
   // and must be skipped (permutations_tried stays 1).
   FlatMachine m(1000);
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   std::vector<Job> jobs;
   std::vector<const Job*> window;
   for (JobId i = 0; i < 4; ++i) jobs.push_back(make_job(i, 10, 100));
@@ -185,7 +192,8 @@ TEST(WindowAllocTest, SearchSkippedWhenNothingFitsNow) {
   // Machine saturated -> permutations only shuffle reservations; skipped.
   FlatMachine m(100);
   ASSERT_TRUE(m.start(make_job(99, 100, 5000), 0));
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   std::vector<Job> jobs;
   std::vector<const Job*> window;
   for (JobId i = 0; i < 4; ++i) jobs.push_back(make_job(i, 10 + i, 100));
@@ -200,7 +208,8 @@ TEST(WindowAllocTest, SearchRunsInContendedMiddleCase) {
   // Some fit, some don't: the permutation search must engage.
   FlatMachine m(100);
   ASSERT_TRUE(m.start(make_job(99, 60, 5000), 0));
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   std::vector<Job> jobs = {
       make_job(0, 80, 1000),  // blocked (80 > 40 free)
       make_job(1, 30, 100),   // fits
@@ -217,7 +226,8 @@ TEST(WindowAllocTest, SearchRunsInContendedMiddleCase) {
 TEST(WindowAllocTest, GreedyModeNeverSearches) {
   FlatMachine m(100);
   ASSERT_TRUE(m.start(make_job(99, 60, 5000), 0));
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   std::vector<Job> jobs = {make_job(0, 80, 1000), make_job(1, 30, 100),
                            make_job(2, 30, 200)};
   std::vector<const Job*> window;
@@ -234,7 +244,8 @@ TEST(WindowAllocTest, PermutationCountGrowsWithWindow) {
   // machine, everything starts now), the counter reflects the leaves
   // actually evaluated; it must grow with W.
   FlatMachine m(1000);
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   std::vector<Job> jobs;
   for (JobId i = 0; i < 5; ++i) jobs.push_back(make_job(i, 1, 100));
   WindowAllocator alloc(8);
@@ -264,7 +275,8 @@ TEST(WindowAllocTest, OversizedWindowTruncatesAtClampedMax) {
   // 80 queued jobs, allocator asked for 200 slots: the window must be cut
   // at the 64-slot mask capacity, and every kept placement replayable.
   FlatMachine m(64);
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   std::vector<Job> jobs;
   for (JobId i = 0; i < 80; ++i) jobs.push_back(make_job(i, 8, 100));
   std::vector<const Job*> window;
@@ -289,7 +301,8 @@ TEST(WindowAllocTest, GreedyPlacementPastThirtyTwoSlots) {
   Rng rng(55);
   FlatMachine m(64);
   ASSERT_TRUE(m.start(make_job(99, 32, 500), 0));
-  const auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
   std::vector<Job> jobs;
   for (JobId i = 0; i < 40; ++i) {
     jobs.push_back(make_job(i, rng.uniform_int(4, 48), rng.uniform_int(50, 800)));
@@ -352,10 +365,10 @@ TEST(WindowAllocTest, TranspositionsAreExpandedOnce) {
   const Job b = make_job(2, 30, 100);
   const Job c = make_job(3, 20, 100);
   const std::vector<const Job*> window = {&d, &a, &b, &c};
-  const auto provider = make_plan_provider(m, PlanMode::kCalendar);
+  const auto provider = make_plan_provider(m);
   const WindowAllocator alloc(8);
   for (const bool calendar : {false, true}) {
-    const auto plan = calendar ? provider->plan(0) : m.make_plan(0);
+    const auto plan = calendar ? provider->plan(0) : test_support::reference_plan(m, 0);
     const auto decision = alloc.decide(*plan, window, 0);
     EXPECT_EQ(decision.nodes_expanded, 16u) << "calendar " << calendar;
     EXPECT_EQ(decision.permutations_tried, 1u) << "calendar " << calendar;
@@ -365,47 +378,6 @@ TEST(WindowAllocTest, TranspositionsAreExpandedOnce) {
     for (std::size_t i = 0; i < 4; ++i) {
       EXPECT_EQ(decision.placements[i].id, static_cast<JobId>(i));
       EXPECT_EQ(decision.placements[i].start, identity[i]);
-    }
-  }
-}
-
-TEST(WindowAllocTest, UndoSearchMatchesCloneSearch) {
-  // The undo-log walk and the clone-per-branch walk must choose the same
-  // permutation: same placements, makespan, and leaf count. Run both over
-  // random contended partition-machine scenarios (PartitionPlan supports
-  // undo; wrapping it in NoUndoPlan forces the clone fallback).
-  Rng rng(66);
-  PartitionConfig topo;
-  topo.leaf_nodes = 512;
-  topo.row_leaves = 4;
-  topo.rows = 1;  // 2048 nodes
-  for (int trial = 0; trial < 15; ++trial) {
-    PartitionMachine m(topo);
-    (void)m.start(make_job(99, 512 * rng.uniform_int(1, 3), rng.uniform_int(200, 900)), 0);
-    const auto plan = m.make_plan(0);
-    ASSERT_TRUE(plan->supports_undo());
-    const test_support::NoUndoPlan wrapped(plan->clone());
-
-    std::vector<Job> jobs;
-    for (JobId i = 0; i < 5; ++i) {
-      jobs.push_back(make_job(i, rng.uniform_int(1, 2048), rng.uniform_int(50, 1500)));
-    }
-    std::vector<const Job*> window;
-    for (const auto& j : jobs) window.push_back(&j);
-
-    WindowAllocator alloc(8);
-    const auto with_undo = alloc.decide(*plan, window, 0);
-    const auto with_clone = alloc.decide(wrapped, window, 0);
-
-    EXPECT_EQ(with_undo.makespan, with_clone.makespan) << "trial " << trial;
-    EXPECT_EQ(with_undo.permutations_tried, with_clone.permutations_tried)
-        << "trial " << trial;
-    ASSERT_EQ(with_undo.placements.size(), with_clone.placements.size());
-    for (std::size_t i = 0; i < with_undo.placements.size(); ++i) {
-      EXPECT_EQ(with_undo.placements[i].id, with_clone.placements[i].id)
-          << "trial " << trial << " slot " << i;
-      EXPECT_EQ(with_undo.placements[i].start, with_clone.placements[i].start)
-          << "trial " << trial << " slot " << i;
     }
   }
 }

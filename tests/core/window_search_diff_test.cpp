@@ -5,14 +5,13 @@
 // starts — with the same makespan and the same permutations_tried count,
 // because its cuts only skip subtrees holding no leaf that strictly beats
 // the incumbent. Random contended windows (W = 2..8) on both machine models
-// are decided on every plan implementation: the incremental calendar views,
-// the machines' from-scratch reference plans, and the clone-per-branch
-// fallback (NoUndoPlan). Shapes are drawn from small sets, so same-shape
-// jobs — the symmetry cut's target — are common. A second family builds
-// transposition-heavy windows: jobs of distinct shapes that all fit now
-// together beside one that does not, so many placement orders reach the
-// same (placed jobs, starts, placements) state — the transposition cut's
-// target.
+// are decided on both plan implementations: the incremental calendar views
+// and the from-scratch reference plans (tests/support/reference_plans.*).
+// Shapes are drawn from small sets, so same-shape jobs — the symmetry
+// cut's target — are common. A second family builds transposition-heavy
+// windows: jobs of distinct shapes that all fit now together beside one
+// that does not, so many placement orders reach the same (placed jobs,
+// starts, placements) state — the transposition cut's target.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +24,7 @@
 #include "platform/flat.hpp"
 #include "platform/partition.hpp"
 #include "sched/calendar/calendar.hpp"
-#include "support/no_undo_plan.hpp"
+#include "support/reference_plans.hpp"
 #include "support/window_search_reference.hpp"
 #include "util/rng.hpp"
 
@@ -33,7 +32,7 @@ namespace amjs {
 namespace {
 
 enum class MachineKind { kFlat, kPartition };
-enum class PlanKind { kCalendar, kReference, kNoUndo };
+enum class PlanKind { kCalendar, kReference };
 
 struct Shapes {
   std::vector<NodeCount> nodes;
@@ -70,26 +69,6 @@ const T& pick(const std::vector<T>& values, Rng& rng) {
       rng.uniform_int(0, static_cast<std::int64_t>(values.size()) - 1))];
 }
 
-/// A plan of `kind` over `machine` at `now`, with the provider it views.
-struct PlanUnderTest {
-  std::unique_ptr<PlanProvider> provider;
-  std::unique_ptr<Plan> plan;
-};
-
-PlanUnderTest make_plan(const Machine& machine, PlanKind kind, SimTime now) {
-  PlanUnderTest out;
-  if (kind == PlanKind::kReference) {
-    out.plan = machine.make_plan(now);
-    return out;
-  }
-  out.provider = make_plan_provider(machine, PlanMode::kCalendar);
-  out.plan = out.provider->plan(now);
-  if (kind == PlanKind::kNoUndo) {
-    out.plan = std::make_unique<test_support::NoUndoPlan>(std::move(out.plan));
-  }
-  return out;
-}
-
 /// Decide `window` with the pruned and the reference search, each on its
 /// own plan of `kind` (so neither sees the other's memo entries), and
 /// require the same ids, starts, makespan and permutations_tried. Returns
@@ -98,8 +77,9 @@ std::size_t expect_matches_reference(const Machine& machine, PlanKind kind,
                                      const std::vector<const Job*>& window,
                                      SimTime now, int trial) {
   const WindowAllocator alloc(8);
-  const PlanUnderTest expected_plan = make_plan(machine, kind, now);
-  const PlanUnderTest actual_plan = make_plan(machine, kind, now);
+  const bool reference = kind == PlanKind::kReference;
+  const auto expected_plan = test_support::plan_under_test(machine, now, reference);
+  const auto actual_plan = test_support::plan_under_test(machine, now, reference);
   const WindowDecision expected =
       test_support::reference_window_decide(*expected_plan.plan, window, now);
   const WindowDecision actual = alloc.decide(*actual_plan.plan, window, now);
@@ -208,25 +188,21 @@ TEST_P(WindowSearchTranspositionTest, TranspositionHeavyWindowsMatchReference) {
 std::string param_name(const ::testing::TestParamInfo<Param>& info) {
   const auto [machine_kind, plan_kind, w] = info.param;
   std::string name = machine_kind == MachineKind::kFlat ? "Flat" : "Partition";
-  name += plan_kind == PlanKind::kCalendar    ? "Calendar"
-          : plan_kind == PlanKind::kReference ? "Reference"
-                                              : "NoUndo";
+  name += plan_kind == PlanKind::kCalendar ? "Calendar" : "Reference";
   return name + "W" + std::to_string(w);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Windows, WindowSearchDiffTest,
     ::testing::Combine(::testing::Values(MachineKind::kFlat, MachineKind::kPartition),
-                       ::testing::Values(PlanKind::kCalendar, PlanKind::kReference,
-                                         PlanKind::kNoUndo),
+                       ::testing::Values(PlanKind::kCalendar, PlanKind::kReference),
                        ::testing::Range(2, 9)),
     param_name);
 
 INSTANTIATE_TEST_SUITE_P(
     Windows, WindowSearchTranspositionTest,
     ::testing::Combine(::testing::Values(MachineKind::kFlat, MachineKind::kPartition),
-                       ::testing::Values(PlanKind::kCalendar, PlanKind::kReference,
-                                         PlanKind::kNoUndo),
+                       ::testing::Values(PlanKind::kCalendar, PlanKind::kReference),
                        ::testing::Range(3, 9)),
     param_name);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sched/calendar/calendar.hpp"
+
 namespace amjs {
 namespace {
 
@@ -73,14 +75,16 @@ TEST(FlatMachineTest, ResetClearsState) {
 
 TEST(FlatPlanTest, EmptyMachineStartsNow) {
   FlatMachine m(100);
-  const auto plan = m.make_plan(1000);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(1000);
   EXPECT_EQ(plan->find_start(make_job(0, 100, 600), 1000), 1000);
 }
 
 TEST(FlatPlanTest, WaitsForPredictedRelease) {
   FlatMachine m(100);
   ASSERT_TRUE(m.start(make_job(0, 80, 500), 0));  // ends (predicted) at 500
-  const auto plan = m.make_plan(100);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(100);
   // 30 nodes free now; a 50-node job must wait until 500.
   EXPECT_EQ(plan->find_start(make_job(1, 50, 600), 100), 500);
   // A 20-node job fits immediately.
@@ -89,7 +93,8 @@ TEST(FlatPlanTest, WaitsForPredictedRelease) {
 
 TEST(FlatPlanTest, CommitConsumesCapacity) {
   FlatMachine m(100);
-  auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  auto plan = calendar->plan(0);
   plan->commit(make_job(0, 60, 1000), 0);
   // Another 60-node job cannot overlap; it must wait until 1000.
   EXPECT_EQ(plan->find_start(make_job(1, 60, 500), 0), 1000);
@@ -99,7 +104,8 @@ TEST(FlatPlanTest, CommitConsumesCapacity) {
 
 TEST(FlatPlanTest, FindsGapBetweenReservations) {
   FlatMachine m(100);
-  auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  auto plan = calendar->plan(0);
   plan->commit(make_job(0, 100, 100), 0);     // [0, 100) full machine
   plan->commit(make_job(1, 100, 100), 500);   // [500, 600) full machine
   // A 200-second job fits in the [100, 500) gap.
@@ -110,13 +116,15 @@ TEST(FlatPlanTest, FindsGapBetweenReservations) {
 
 TEST(FlatPlanTest, EarliestParameterRespected) {
   FlatMachine m(100);
-  auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  auto plan = calendar->plan(0);
   EXPECT_EQ(plan->find_start(make_job(0, 10, 60), 700), 700);
 }
 
 TEST(FlatPlanTest, CloneIsIndependent) {
   FlatMachine m(100);
-  auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  auto plan = calendar->plan(0);
   auto copy = plan->clone();
   copy->commit(make_job(0, 100, 1000), 0);
   // Original is unaffected.
@@ -125,12 +133,16 @@ TEST(FlatPlanTest, CloneIsIndependent) {
 }
 
 TEST(FlatPlanTest, FreeAtReflectsRunningJobs) {
+  // Free capacity is 70 nodes on [0, 400) and the whole machine after.
   FlatMachine m(100);
   ASSERT_TRUE(m.start(make_job(0, 30, 400), 0));
-  const FlatPlan plan(100, 0, m.running());
-  EXPECT_EQ(plan.free_at(0), 70);
-  EXPECT_EQ(plan.free_at(399), 70);
-  EXPECT_EQ(plan.free_at(400), 100);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(0);
+  for (const SimTime t : {0, 399}) {
+    EXPECT_TRUE(plan->fits_at(make_job(1, 70, 1), t)) << "t=" << t;
+    EXPECT_FALSE(plan->fits_at(make_job(1, 71, 1), t)) << "t=" << t;
+  }
+  EXPECT_TRUE(plan->fits_at(make_job(1, 100, 1), 400));
 }
 
 TEST(FlatPlanTest, StalePredictedEndTreatedAsImmediate) {
@@ -138,7 +150,8 @@ TEST(FlatPlanTest, StalePredictedEndTreatedAsImmediate) {
   // the plan's frame) should not block the plan forever.
   FlatMachine m(100);
   ASSERT_TRUE(m.start(make_job(0, 100, 100), 0));  // predicted end 100
-  const auto plan = m.make_plan(200);               // now past prediction
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(200);  // now past prediction
   EXPECT_EQ(plan->find_start(make_job(1, 100, 50), 200), 200);
 }
 

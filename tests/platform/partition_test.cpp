@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "sched/calendar/calendar.hpp"
+
 namespace amjs {
 namespace {
 
@@ -129,7 +131,8 @@ TEST(PartitionMachineTest, ResetClears) {
 
 TEST(PartitionPlanTest, EmptyStartsNow) {
   PartitionMachine m(tiny_config());
-  const auto plan = m.make_plan(50);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(50);
   EXPECT_EQ(plan->find_start(make_job(0, 4096, 600), 50), 50);
 }
 
@@ -137,20 +140,23 @@ TEST(PartitionPlanTest, WaitsForTierRelease) {
   PartitionMachine m(tiny_config());
   // Fill the machine with one full-machine job predicted to end at 900.
   ASSERT_TRUE(m.start(make_job(0, 4096, 900), 0));
-  const auto plan = m.make_plan(100);
+  const auto calendar = make_plan_provider(m);
+  const auto plan = calendar->plan(100);
   EXPECT_EQ(plan->find_start(make_job(1, 512, 600), 100), 900);
 }
 
 TEST(PartitionPlanTest, CommitBlocksOverlappingPartitions) {
   PartitionMachine m(tiny_config());
-  auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  auto plan = calendar->plan(0);
   plan->commit(make_job(0, 4096, 500), 0);  // whole machine [0,500)
   EXPECT_EQ(plan->find_start(make_job(1, 512, 100), 0), 500);
 }
 
 TEST(PartitionPlanTest, DisjointPartitionsCoexist) {
   PartitionMachine m(tiny_config());
-  auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  auto plan = calendar->plan(0);
   plan->commit(make_job(0, 2048, 500), 0);
   // Another 2048 fits in the other row concurrently.
   EXPECT_EQ(plan->find_start(make_job(1, 2048, 500), 0), 0);
@@ -161,7 +167,8 @@ TEST(PartitionPlanTest, DisjointPartitionsCoexist) {
 
 TEST(PartitionPlanTest, CloneIsIndependent) {
   PartitionMachine m(tiny_config());
-  auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  auto plan = calendar->plan(0);
   auto copy = plan->clone();
   copy->commit(make_job(0, 4096, 1000), 0);
   EXPECT_EQ(plan->find_start(make_job(1, 512, 60), 0), 0);
@@ -172,7 +179,8 @@ TEST(PartitionPlanTest, SoftCommitDoesNotPinAPartition) {
   // Capacity shadow: a soft-committed 2048 job blocks *capacity* but no
   // specific partition, so a same-time 2048 start can use either row.
   PartitionMachine m(tiny_config());
-  auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  auto plan = calendar->plan(0);
   plan->commit_soft(make_job(0, 2048, 500), 0);
   EXPECT_EQ(plan->last_placement(), -1);
   // One more 2048 fits (capacity 4096), a third does not.
@@ -183,7 +191,8 @@ TEST(PartitionPlanTest, SoftCommitDoesNotPinAPartition) {
 
 TEST(PartitionPlanTest, HardCommitPinsAndReportsPlacement) {
   PartitionMachine m(tiny_config());
-  auto plan = m.make_plan(0);
+  const auto calendar = make_plan_provider(m);
+  auto plan = calendar->plan(0);
   plan->commit(make_job(0, 2048, 500), 0);
   const int placement = plan->last_placement();
   ASSERT_GE(placement, 0);

@@ -1,8 +1,10 @@
 // Property tests shared by both machine models: the planning abstraction
 // must agree with the live machine and never oversubscribe, and every Plan
-// implementation must keep the Plan contract (platform/machine.hpp): the
-// find_start properties (a) and (b), order-independence (c), and refusals
-// that extend to dominating jobs (d).
+// implementation (the calendar views and the reference plans of
+// tests/support/reference_plans.*) must keep the Plan contract
+// (platform/machine.hpp): the find_start properties (a) and (b),
+// order-independence (c), refusals that extend to dominating jobs (d), and
+// an exact undo_last_commit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include "platform/flat.hpp"
 #include "platform/partition.hpp"
 #include "sched/calendar/calendar.hpp"
+#include "support/reference_plans.hpp"
 #include "util/rng.hpp"
 
 namespace amjs {
@@ -54,7 +57,7 @@ TEST_P(PlanPropertyTest, CanStartAgreesWithPlanFindStart) {
     const Job j = random_job(next_id, rng);
     if (machine->start(j, 0)) ++next_id;
   }
-  const auto plan = machine->make_plan(0);
+  const auto plan = test_support::reference_plan(*machine, 0);
   for (int i = 0; i < 200; ++i) {
     const Job probe = random_job(1000 + i, rng);
     if (!machine->fits(probe)) continue;
@@ -72,7 +75,7 @@ TEST_P(PlanPropertyTest, FindStartIsMonotoneInEarliest) {
     const Job j = random_job(next_id, rng);
     if (machine->start(j, 0)) ++next_id;
   }
-  const auto plan = machine->make_plan(0);
+  const auto plan = test_support::reference_plan(*machine, 0);
   for (int i = 0; i < 100; ++i) {
     const Job probe = random_job(2000 + i, rng);
     if (!machine->fits(probe)) continue;
@@ -86,7 +89,7 @@ TEST_P(PlanPropertyTest, FindStartIsMonotoneInEarliest) {
 TEST_P(PlanPropertyTest, FindStartResultIsCommittable) {
   auto machine = make_machine(GetParam());
   Rng rng(13);
-  auto plan = machine->make_plan(0);
+  auto plan = test_support::reference_plan(*machine, 0);
   // Commit a random chain of jobs at their found starts; commit asserts
   // feasibility internally, and capacity must never go negative (FlatPlan
   // asserts in occupy()).
@@ -102,7 +105,7 @@ TEST_P(PlanPropertyTest, FindStartResultIsCommittable) {
 TEST_P(PlanPropertyTest, SequentialCommitsNeverOverlapCapacity) {
   auto machine = make_machine(GetParam());
   Rng rng(17);
-  auto plan = machine->make_plan(0);
+  auto plan = test_support::reference_plan(*machine, 0);
   struct Placed {
     SimTime start, end;
     NodeCount occ;
@@ -135,7 +138,7 @@ TEST_P(PlanPropertyTest, FitsAtAgreesWithFindStart) {
     const Job j = random_job(i, rng);
     (void)machine->start(j, 0);
   }
-  auto plan = machine->make_plan(0);
+  auto plan = test_support::reference_plan(*machine, 0);
   // Mix in future commitments.
   for (int i = 10; i < 13; ++i) {
     Job j = random_job(i, rng);
@@ -153,7 +156,7 @@ TEST_P(PlanPropertyTest, FitsAtAgreesWithFindStart) {
 
 TEST_P(PlanPropertyTest, SoftCommitReservesCapacity) {
   auto machine = make_machine(GetParam());
-  auto plan = machine->make_plan(0);
+  auto plan = test_support::reference_plan(*machine, 0);
   // Soft-commit a full-machine job on [0, 1000): nothing else fits inside
   // that window, everything fits after.
   Job full;
@@ -222,7 +225,7 @@ INSTANTIATE_TEST_SUITE_P(Machines, PlanPropertyTest,
                                                                     : "Partition";
                          });
 
-enum class PlanSource { kMachine, kCalendar };
+enum class PlanSource { kReference, kCalendar };
 
 class PlanContractTest
     : public ::testing::TestWithParam<std::tuple<MachineKind, PlanSource>> {};
@@ -242,14 +245,9 @@ TEST_P(PlanContractTest, CommitsNeverMoveFindStartEarlierAndAnswersHoldBackToThe
     auto machine = make_machine(kind);
     for (JobId r = 0; r < 5; ++r) (void)machine->start(random_job(500 + r, rng), 0);
     const SimTime now = rng.uniform_int(0, 300);
-    std::unique_ptr<PlanProvider> provider;
-    std::unique_ptr<Plan> plan;
-    if (source == PlanSource::kMachine) {
-      plan = machine->make_plan(now);
-    } else {
-      provider = make_plan_provider(*machine, PlanMode::kCalendar);
-      plan = provider->plan(now);
-    }
+    const auto sourced =
+        test_support::plan_under_test(*machine, now, source == PlanSource::kReference);
+    Plan* const plan = sourced.plan.get();
 
     std::vector<Job> probes;
     for (JobId q = 0; q < 6; ++q) probes.push_back(random_job(900 + q, rng));
@@ -300,14 +298,9 @@ TEST_P(PlanContractTest, AnswersDependOnlyOnTheMultisetOfHardCommits) {
     auto machine = make_machine(kind);
     for (JobId r = 0; r < 4; ++r) (void)machine->start(random_job(500 + r, rng), 0);
     const SimTime now = rng.uniform_int(0, 300);
-    std::unique_ptr<PlanProvider> provider;
-    std::unique_ptr<Plan> first;
-    if (source == PlanSource::kMachine) {
-      first = machine->make_plan(now);
-    } else {
-      provider = make_plan_provider(*machine, PlanMode::kCalendar);
-      first = provider->plan(now);
-    }
+    const auto sourced =
+        test_support::plan_under_test(*machine, now, source == PlanSource::kReference);
+    Plan* const first = sourced.plan.get();
     const std::unique_ptr<Plan> second = first->clone();
 
     struct Commit {
@@ -376,14 +369,9 @@ TEST_P(PlanContractTest, RefusalsExtendToDominatingJobsAcrossCommits) {
     auto machine = make_machine(kind);
     for (JobId r = 0; r < 5; ++r) (void)machine->start(random_job(500 + r, rng), 0);
     const SimTime now = rng.uniform_int(0, 300);
-    std::unique_ptr<PlanProvider> provider;
-    std::unique_ptr<Plan> plan;
-    if (source == PlanSource::kMachine) {
-      plan = machine->make_plan(now);
-    } else {
-      provider = make_plan_provider(*machine, PlanMode::kCalendar);
-      plan = provider->plan(now);
-    }
+    const auto sourced =
+        test_support::plan_under_test(*machine, now, source == PlanSource::kReference);
+    Plan* const plan = sourced.plan.get();
 
     struct Refused {
       Job job;
@@ -420,17 +408,97 @@ TEST_P(PlanContractTest, RefusalsExtendToDominatingJobsAcrossCommits) {
   EXPECT_GE(refusals, 100u);
 }
 
+TEST_P(PlanContractTest, UndoRestoresEveryAnswerAndTheNextPlacement) {
+  // undo_last_commit: random hard commits, interleaved with probes, undone
+  // in LIFO order. After each undo the plan must answer every find_start
+  // and fits_at probe exactly as a clone taken before that commit does,
+  // and the next commit must pick the same start and last_placement().
+  // Probes sit at the committed spans' ends, where a commit leaves its
+  // breakpoints. Odd trials first add a soft and a hard commit that stay.
+  const auto [kind, source] = GetParam();
+  Rng rng(kind == MachineKind::kFlat ? 91 : 93);
+  const NodeCount total = make_machine(kind)->total_nodes();
+  int undone = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    auto machine = make_machine(kind);
+    for (JobId r = 0; r < 4; ++r) (void)machine->start(random_job(500 + r, rng), 0);
+    const SimTime now = rng.uniform_int(0, 300);
+    const auto sourced =
+        test_support::plan_under_test(*machine, now, source == PlanSource::kReference);
+    Plan& plan = *sourced.plan;
+    const auto random_commit_job = [&](JobId id) {
+      Job j = random_job(id, rng);
+      j.nodes = rng.uniform_int(1, total / 2);
+      return j;
+    };
+
+    std::vector<Job> probes;
+    for (JobId q = 0; q < 8; ++q) probes.push_back(random_job(900 + q, rng));
+    std::vector<SimTime> times = {now, now + 1000, now + 5000};
+    if (trial % 2 == 1) {
+      const Job soft = random_commit_job(50);
+      plan.commit_soft(soft, plan.find_start(soft, now + rng.uniform_int(0, 2000)));
+      const Job hard = random_commit_job(51);
+      plan.commit(hard, plan.find_start(hard, now + rng.uniform_int(0, 2000)));
+    }
+
+    // before[i]: a clone of the plan taken just before commit i.
+    std::vector<std::unique_ptr<Plan>> before;
+    const auto commits = rng.uniform_int(1, 6);
+    for (JobId i = 0; i < commits; ++i) {
+      const Job j = random_commit_job(i);
+      const SimTime start = plan.find_start(j, now + rng.uniform_int(0, 3000));
+      before.push_back(plan.clone());
+      plan.commit(j, start);
+      times.push_back(start);
+      times.push_back(start + j.walltime);
+      for (const Job& probe : probes) {
+        (void)plan.find_start(probe, now);
+        (void)plan.fits_at(probe, start);
+      }
+    }
+    const Job next = random_commit_job(99);
+    while (!before.empty()) {
+      plan.undo_last_commit();
+      ++undone;
+      const Plan& expected = *before.back();
+      const auto depth = before.size() - 1;
+      for (const Job& probe : probes) {
+        for (const SimTime t : times) {
+          EXPECT_EQ(plan.find_start(probe, t), expected.find_start(probe, t))
+              << "trial " << trial << " depth " << depth << " probe " << probe.id
+              << " e=" << t;
+          EXPECT_EQ(plan.fits_at(probe, t), expected.fits_at(probe, t))
+              << "trial " << trial << " depth " << depth << " probe " << probe.id
+              << " t=" << t;
+        }
+      }
+      const auto undone_copy = plan.clone();
+      const auto expected_copy = expected.clone();
+      const SimTime start = expected_copy->find_start(next, now);
+      ASSERT_EQ(undone_copy->find_start(next, now), start)
+          << "trial " << trial << " depth " << depth;
+      undone_copy->commit(next, start);
+      expected_copy->commit(next, start);
+      EXPECT_EQ(undone_copy->last_placement(), expected_copy->last_placement())
+          << "trial " << trial << " depth " << depth;
+      before.pop_back();
+    }
+  }
+  EXPECT_GE(undone, 60);
+}
+
 std::string contract_name(
     const ::testing::TestParamInfo<std::tuple<MachineKind, PlanSource>>& param) {
   const auto [kind, source] = param.param;
   return std::string(kind == MachineKind::kFlat ? "Flat" : "Partition") +
-         (source == PlanSource::kMachine ? "Plan" : "CalendarPlan");
+         (source == PlanSource::kReference ? "Plan" : "CalendarPlan");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Plans, PlanContractTest,
     ::testing::Combine(::testing::Values(MachineKind::kFlat, MachineKind::kPartition),
-                       ::testing::Values(PlanSource::kMachine, PlanSource::kCalendar)),
+                       ::testing::Values(PlanSource::kReference, PlanSource::kCalendar)),
     contract_name);
 
 }  // namespace

@@ -1,11 +1,13 @@
 // ProbeFilter against the unfiltered probe it replaces. Over random
-// backfill passes on both machine models and both plan sources, admits(j)
+// backfill passes on both machine models and both plan sources (the
+// calendar, and the reference plan of tests/support), admits(j)
 // must equal machine.can_start(j) && plan.fits_at(j, now) for every probe,
 // while each admitted job is committed and started exactly as backfill()
 // does — so the refusals the filter remembers really do face a machine and
 // a plan that only lose capacity.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -15,12 +17,16 @@
 #include "platform/partition.hpp"
 #include "sched/backfill.hpp"
 #include "sched/calendar/calendar.hpp"
+#include "support/reference_plans.hpp"
 #include "util/rng.hpp"
 
 namespace amjs {
 namespace {
 
 enum class MachineKind { kFlat, kPartition };
+/// Where a pass's plan comes from: the machine's calendar, or a reference
+/// plan rebuilt from the machine.
+enum class PlanSource : std::uint8_t { kCalendar, kRebuild };
 
 // Intrepid's topology on the partition side: five 16-midplane rows, so
 // the tiers include cross-row blocks and the non-power-of-two full machine.
@@ -40,10 +46,10 @@ Job random_job(JobId id, NodeCount max_nodes, Rng& rng) {
 }
 
 class ProbeFilterTest
-    : public ::testing::TestWithParam<std::tuple<MachineKind, PlanMode>> {};
+    : public ::testing::TestWithParam<std::tuple<MachineKind, PlanSource>> {};
 
 TEST_P(ProbeFilterTest, AnswersEqualTheUnfilteredProbe) {
-  const auto [kind, mode] = GetParam();
+  const auto [kind, source] = GetParam();
   Rng rng(kind == MachineKind::kFlat ? 81 : 83);
   const bool was_enabled = obs::Registry::enabled();
   obs::Registry::set_enabled(true);
@@ -55,7 +61,10 @@ TEST_P(ProbeFilterTest, AnswersEqualTheUnfilteredProbe) {
     const NodeCount total = machine->total_nodes();
     for (JobId r = 0; r < 4; ++r) (void)machine->start(random_job(r, total / 4, rng), 0);
     const SimTime now = rng.uniform_int(0, 300);
-    const auto provider = make_plan_provider(*machine, mode);
+    std::unique_ptr<PlanProvider> provider = make_plan_provider(*machine);
+    if (source == PlanSource::kRebuild) {
+      provider = std::make_unique<test_support::RebuildPlanProvider>(*machine);
+    }
     const auto plan = provider->plan(now);
     // A blocked head's hard reservation and two window-style soft ones.
     for (JobId w = 100; w < 103; ++w) {
@@ -91,16 +100,16 @@ TEST_P(ProbeFilterTest, AnswersEqualTheUnfilteredProbe) {
 }
 
 std::string probe_filter_name(
-    const ::testing::TestParamInfo<std::tuple<MachineKind, PlanMode>>& param) {
-  const auto [kind, mode] = param.param;
+    const ::testing::TestParamInfo<std::tuple<MachineKind, PlanSource>>& param) {
+  const auto [kind, source] = param.param;
   return std::string(kind == MachineKind::kFlat ? "Flat" : "Partition") +
-         (mode == PlanMode::kCalendar ? "Calendar" : "Rebuild");
+         (source == PlanSource::kCalendar ? "Calendar" : "Rebuild");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Plans, ProbeFilterTest,
     ::testing::Combine(::testing::Values(MachineKind::kFlat, MachineKind::kPartition),
-                       ::testing::Values(PlanMode::kCalendar, PlanMode::kRebuild)),
+                       ::testing::Values(PlanSource::kCalendar, PlanSource::kRebuild)),
     probe_filter_name);
 
 }  // namespace

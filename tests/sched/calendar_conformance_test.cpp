@@ -1,12 +1,13 @@
-// A/B conformance of the incremental reservation calendar.
+// A/B conformance of the incremental reservation calendars.
 //
-// The calendar (PlanMode::kCalendar) replaces the seed's per-pass
-// Machine::make_plan rebuild with a persistent, delta-updated plan source.
-// Its contract is not "approximately the same schedule" but *the* same
-// schedule: every policy, on every machine model, must produce a
-// byte-identical write_result_json under both modes. Each test here runs
-// one policy family through both plan modes on both machine models over a
-// contended synthetic trace and compares the serialized results verbatim.
+// The calendars replaced a per-pass rebuild of the plan from the live
+// machine with a persistent, delta-updated plan source. Their contract is
+// not "approximately the same schedule" but *the* same schedule: every
+// policy, on every machine model, must produce a byte-identical
+// write_result_json under the calendar and under the rebuilt reference
+// plans (tests/support/reference_plans.*). Each test here runs one policy
+// family both ways on both machine models over a contended synthetic
+// trace and compares the serialized results verbatim.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -24,6 +25,7 @@
 #include "sched/utility.hpp"
 #include "sim/result.hpp"
 #include "sim/simulator.hpp"
+#include "support/reference_plans.hpp"
 #include "workload/synthetic.hpp"
 
 namespace amjs {
@@ -45,19 +47,21 @@ JobTrace contended_trace() {
   return SyntheticTraceBuilder(cfg).build();
 }
 
+/// The serialized result of one run, planned by the machine's calendar or,
+/// with `reference`, by a reference plan rebuilt at every pass.
 std::string run_json(Machine& machine, Scheduler& sched, const JobTrace& trace,
-                     PlanMode mode) {
-  SimConfig config;
-  config.plan_mode = mode;
-  Simulator sim(machine, sched, config);
+                     bool reference) {
+  std::unique_ptr<PlanProvider> plans = make_plan_provider(machine);
+  if (reference) plans = std::make_unique<test_support::RebuildPlanProvider>(machine);
+  Simulator sim(machine, sched, {}, std::move(plans));
   const SimResult result = sim.run(trace);
   std::ostringstream out;
   write_result_json(out, result);
   return out.str();
 }
 
-/// Runs `make_sched`'s policy under kRebuild and kCalendar on both machine
-/// models and asserts byte-identical serialized results.
+/// Runs `make_sched`'s policy under the reference plans and the calendars
+/// on both machine models and asserts byte-identical serialized results.
 void expect_conforms(const SchedulerFactory& make_sched) {
   const JobTrace trace = contended_trace();
 
@@ -78,15 +82,15 @@ void expect_conforms(const SchedulerFactory& make_sched) {
     auto rebuild_machine = mc.make();
     auto rebuild_sched = make_sched();
     const std::string rebuild =
-        run_json(*rebuild_machine, *rebuild_sched, trace, PlanMode::kRebuild);
+        run_json(*rebuild_machine, *rebuild_sched, trace, /*reference=*/true);
 
     auto calendar_machine = mc.make();
     auto calendar_sched = make_sched();
     const std::string calendar =
-        run_json(*calendar_machine, *calendar_sched, trace, PlanMode::kCalendar);
+        run_json(*calendar_machine, *calendar_sched, trace, /*reference=*/false);
 
     EXPECT_EQ(calendar, rebuild)
-        << "calendar diverged from seed rebuild on " << mc.label << " under "
+        << "calendar diverged from the reference plans on " << mc.label << " under "
         << make_sched()->name();
   }
 }

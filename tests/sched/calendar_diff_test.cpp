@@ -1,5 +1,6 @@
-// Randomized differential suite: the incremental calendars vs the seed
-// plans they replace.
+// Randomized differential suite: the incremental calendars vs the
+// from-scratch reference plans they replaced
+// (tests/support/reference_plans.*).
 //
 // The conformance suite proves whole-run equivalence; this one attacks the
 // query layer directly. Random event streams (starts, early finishes, time
@@ -21,6 +22,7 @@
 #include "sched/calendar/calendar.hpp"
 #include "sched/calendar/flat_calendar.hpp"
 #include "sched/calendar/partition_calendar.hpp"
+#include "support/reference_plans.hpp"
 #include "util/rng.hpp"
 
 namespace amjs {
@@ -102,7 +104,7 @@ void run_differential(MachineT& machine, PlanProvider& cal, Rng& rng,
     }
 
     auto a = cal.plan(now);
-    auto b = machine.make_plan(now);
+    auto b = test_support::reference_plan(machine, now);
 
     for (const Job& probe : probes) {
       const SimTime earliest = now + rng.uniform_int(0, 500);
@@ -226,54 +228,48 @@ TEST(CalendarDiffTest, ResyncRebuildsFromLiveMachine) {
   cal.resync();
 
   auto a = cal.plan(50);
-  auto b = machine.make_plan(50);
+  auto b = test_support::reference_plan(machine, 50);
   const Job probe = make_job(3, 80, 200);
   EXPECT_EQ(a->find_start(probe, 50), b->find_start(probe, 50));
   EXPECT_EQ(a->fits_at(probe, 50), b->fits_at(probe, 50));
 }
 
-TEST(CalendarDiffTest, UndoRestoresCalendarPlanExactly) {
-  PartitionMachine machine(small_topology());
-  PartitionCalendar cal(machine);
-  const Job runner = make_job(1, 1024, 800);
-  ASSERT_TRUE(machine.start(runner, 0));
-  cal.on_job_start(runner, 0);
+/// A machine model with no calendar (a flat pool under another name).
+class UncalendaredMachine final : public Machine {
+ public:
+  [[nodiscard]] NodeCount total_nodes() const override { return inner_.total_nodes(); }
+  [[nodiscard]] NodeCount busy_nodes() const override { return inner_.busy_nodes(); }
+  [[nodiscard]] bool fits(const Job& job) const override { return inner_.fits(job); }
+  [[nodiscard]] NodeCount occupancy(const Job& job) const override { return job.nodes; }
+  [[nodiscard]] bool can_start(const Job& job) const override { return inner_.can_start(job); }
+  [[nodiscard]] bool start(const Job& job, SimTime now, int placement) override {
+    return inner_.start(job, now, placement);
+  }
+  void finish(JobId job, SimTime now) override { inner_.finish(job, now); }
+  [[nodiscard]] std::vector<RunningAlloc> running() const override { return inner_.running(); }
+  [[nodiscard]] std::unique_ptr<MachineState> save_state() const override {
+    return inner_.save_state();
+  }
+  void restore_state(const MachineState& state) override { inner_.restore_state(state); }
+  void reset() override { inner_.reset(); }
 
-  auto p = cal.plan(0);
-  ASSERT_TRUE(p->supports_undo());
+ private:
+  FlatMachine inner_{64};
+};
 
-  const Job a = make_job(10, 2048, 400);
-  const Job b = make_job(11, 4096, 300);
-  const SimTime a_before = p->find_start(a, 0);
-  const SimTime b_before = p->find_start(b, 0);
-
-  // Nested commits undone in LIFO order must restore every answer.
-  p->commit(a, p->find_start(a, 0));
-  p->commit(b, p->find_start(b, 0));
-  p->undo_last_commit();
-  p->undo_last_commit();
-
-  EXPECT_EQ(p->find_start(a, 0), a_before);
-  EXPECT_EQ(p->find_start(b, 0), b_before);
-
-  // And the undone view still matches a fresh machine plan.
-  auto ref = machine.make_plan(0);
-  EXPECT_EQ(p->find_start(a, 0), ref->find_start(a, 0));
-  EXPECT_EQ(p->find_start(b, 0), ref->find_start(b, 0));
-}
-
-TEST(CalendarDiffTest, FactorySelectsProviderByModeAndModel) {
+TEST(CalendarDiffTest, FactorySelectsCalendarByModel) {
   FlatMachine flat(64);
   PartitionMachine part(small_topology());
 
-  auto flat_cal = make_plan_provider(flat, PlanMode::kCalendar);
+  auto flat_cal = make_plan_provider(flat);
   EXPECT_NE(dynamic_cast<FlatCalendar*>(flat_cal.get()), nullptr);
 
-  auto part_cal = make_plan_provider(part, PlanMode::kCalendar);
+  auto part_cal = make_plan_provider(part);
   EXPECT_NE(dynamic_cast<PartitionCalendar*>(part_cal.get()), nullptr);
 
-  auto rebuild = make_plan_provider(flat, PlanMode::kRebuild);
-  EXPECT_NE(dynamic_cast<RebuildPlanProvider*>(rebuild.get()), nullptr);
+  // No silent fallback: a model without a calendar has no plans.
+  const UncalendaredMachine other;
+  EXPECT_DEATH((void)make_plan_provider(other), "no calendar for machine model");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "platform/flat.hpp"
+#include "sched/calendar/flat_calendar.hpp"
 #include "sched/easy.hpp"
 #include "sim/simulator.hpp"
 
@@ -157,9 +158,6 @@ class VetoMachine final : public Machine {
   [[nodiscard]] std::vector<RunningAlloc> running() const override {
     return inner_.running();
   }
-  [[nodiscard]] std::unique_ptr<Plan> make_plan(SimTime now) const override {
-    return inner_.make_plan(now);
-  }
   [[nodiscard]] std::unique_ptr<MachineState> save_state() const override {
     return inner_.save_state();
   }
@@ -167,6 +165,9 @@ class VetoMachine final : public Machine {
     inner_.restore_state(state);
   }
   void reset() override { inner_.reset(); }
+
+  /// The pool behind the veto: plans come from its calendar.
+  [[nodiscard]] const FlatMachine& inner() const { return inner_; }
 
  private:
   FlatMachine inner_;
@@ -184,7 +185,7 @@ TEST(ConservativeTest, MachineRefusalConvertsToReservationNotSilentDrop) {
   // t=0 pass and the t=10 pass — then starts normally at the t=20 pass.
   VetoMachine machine(100, /*veto=*/0, /*refusals=*/2);
   ConservativeBackfillScheduler sched;
-  Simulator sim(machine, sched);
+  Simulator sim(machine, sched, {}, std::make_unique<FlatCalendar>(machine.inner()));
   const auto result = sim.run(trace_of({
       make_job(0, 100, 60),    // vetoed at t=0 and t=10
       make_job(0, 50, 10),     // starts immediately

@@ -239,8 +239,8 @@ TEST(SnapshotCodec, SeedsTwinEngineIdentically) {
 
 // --- Corruption rejection. ---------------------------------------------
 
-/// A small but fully populated snapshot container to corrupt.
-std::string sample_container() {
+/// A small but fully populated snapshot.
+SimSnapshot sample_snapshot() {
   const auto trace = contended_trace();
   SimSnapshot snapshot;
   SimConfig config;
@@ -251,7 +251,12 @@ std::string sample_container() {
   MetricAwareScheduler sched(MetricAwareConfig{{0.5, 2}});
   (void)Simulator(machine, sched, config).run(trace);
   EXPECT_TRUE(snapshot.valid());
-  auto bytes = snapshot_io::write_snapshot(snapshot);
+  return snapshot;
+}
+
+/// sample_snapshot()'s container, to corrupt.
+std::string sample_container() {
+  auto bytes = snapshot_io::write_snapshot(sample_snapshot());
   EXPECT_TRUE(bytes.ok());
   return std::move(bytes).value();
 }
@@ -297,6 +302,24 @@ TEST(SnapshotCodecCorruption, BitFlipsRejected) {
     const auto r = snapshot_io::read_snapshot(corrupted);
     EXPECT_FALSE(r.ok()) << "flip at byte " << i << " decoded";
   }
+}
+
+TEST(SnapshotCodecCorruption, NowPastTheWireBoundRejected) {
+  // A twin adds its horizon to the snapshot's now: a now outside
+  // [0, kMaxWireTime] must not decode. The bound itself does.
+  SimSnapshot snapshot = sample_snapshot();
+  for (const SimTime now : {snapshot_io::kMaxWireTime + 1, kNever, SimTime{-1}}) {
+    snapshot.now = now;
+    const auto bytes = snapshot_io::write_snapshot(snapshot);
+    ASSERT_TRUE(bytes.ok());
+    const auto r = snapshot_io::read_snapshot(bytes.value());
+    ASSERT_FALSE(r.ok()) << "now " << now << " decoded";
+    EXPECT_NE(r.error().message.find("outside"), std::string::npos) << r.error().message;
+  }
+  snapshot.now = snapshot_io::kMaxWireTime;
+  const auto bytes = snapshot_io::write_snapshot(snapshot);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(snapshot_io::read_snapshot(bytes.value()).ok());
 }
 
 TEST(SnapshotCodecCorruption, TrailingGarbageRejected) {

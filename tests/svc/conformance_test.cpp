@@ -76,7 +76,7 @@ class SvcConformance : public ::testing::Test {
   StartProjection direct_calendar_query(const Job& job) {
     auto machine = dataset_.machine.make();
     machine->restore_state(*dataset_.snapshot.machine);
-    auto provider = make_plan_provider(*machine, PlanMode::kCalendar);
+    auto provider = make_plan_provider(*machine);
     auto plan = provider->plan(dataset_.snapshot.now);
     const SimTime earliest = std::max(job.submit, dataset_.snapshot.now);
     StartProjection expected;

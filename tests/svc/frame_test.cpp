@@ -407,6 +407,40 @@ TEST_F(SvcFrameServer, CraftedMachineSpecGetsErrorNotACrash) {
   }
 }
 
+TEST_F(SvcFrameServer, UnboundedSubmitTimeGetsErrorNotAProjection) {
+  // A walltime of INT64_MAX used to overflow t + walltime in the plan and
+  // come back as an ordinary projection. It must get a request-level
+  // kError, and the same connection must serve the next submit.
+  Job job;
+  job.id = 1;
+  job.walltime = kNever;
+  job.runtime = 3600;
+  job.nodes = 16;
+  ClientConfig config;
+  config.endpoint = server_->endpoint();
+  SvcClient client(config);
+  const auto rejected = client.submit_job(job);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.error().to_string().find("outside"), std::string::npos)
+      << rejected.error().to_string();
+  job.walltime = 3600;
+  EXPECT_TRUE(client.submit_job(job).ok());
+}
+
+TEST(SvcFrame, DatasetSpecTimesPastTheWireBoundRejected) {
+  // The workload horizon and the twin's horizon and check interval.
+  for (int field = 0; field < 3; ++field) {
+    DatasetSpec spec = test_support::small_dataset_spec();
+    (field == 0   ? spec.horizon
+     : field == 1 ? spec.twin.horizon
+                  : spec.twin.metric_check_interval) = snapshot_io::kMaxWireTime + 1;
+    const auto decoded = decode_dataset_spec(encode_dataset_spec(spec));
+    ASSERT_FALSE(decoded.ok()) << "field " << field;
+    EXPECT_NE(decoded.error().to_string().find("outside"), std::string::npos)
+        << decoded.error().to_string();
+  }
+}
+
 TEST_F(SvcFrameServer, MismatchedEvalSnapshotGetsErrorNotACrash) {
   // Simulator::resume only asserts that a snapshot fits its trace and
   // machine, and release builds drop the assert: the eval plugin must

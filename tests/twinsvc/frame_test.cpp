@@ -320,6 +320,42 @@ TEST(TwinsvcFrame, OutOfRangeCandidateFieldsRejected) {
   }
 }
 
+TEST(TwinsvcFrame, TimesPastTheWireBoundRejected) {
+  // Decoded times end up in sums (t + walltime in the plans, now + horizon
+  // in the twin), so a job's submit, runtime and walltime and an eval's
+  // horizon and check interval must lie in [0, kMaxWireTime]. The bound
+  // itself still decodes.
+  using snapshot_io::kMaxWireTime;
+  const SimTime bad[] = {kMaxWireTime + 1, kNever, -1};
+  const auto trace = small_trace();
+  for (int field = 0; field < 3; ++field) {
+    const auto decodes = [&](SimTime t) {
+      Job job = trace.job(0);
+      (field == 0 ? job.submit : field == 1 ? job.runtime : job.walltime) = t;
+      snapshot_io::ByteWriter w;
+      write_job(w, job);
+      snapshot_io::ByteReader r(w.data());
+      return read_job(r).ok();
+    };
+    for (const SimTime t : bad) EXPECT_FALSE(decodes(t)) << "field " << field << " = " << t;
+    EXPECT_TRUE(decodes(kMaxWireTime)) << "field " << field;
+  }
+
+  const EvalRequest fits = sample_request(trace, snapshot_of(trace));
+  for (const bool horizon : {true, false}) {
+    for (const SimTime t : bad) {
+      EvalRequest crafted = fits;
+      (horizon ? crafted.twin.horizon : crafted.twin.metric_check_interval) = t;
+      const auto body = encode_eval_request(crafted);
+      ASSERT_TRUE(body.ok()) << body.error().to_string();
+      const auto decoded = decode_eval_request(body.value());
+      ASSERT_FALSE(decoded.ok()) << (horizon ? "horizon " : "interval ") << t;
+      EXPECT_NE(decoded.error().to_string().find("outside"), std::string::npos)
+          << decoded.error().to_string();
+    }
+  }
+}
+
 TEST(TwinsvcEndpoint, ParseAcceptsUnixAndTcp) {
   auto unix_ep = Endpoint::parse("unix:/tmp/twin.sock");
   ASSERT_TRUE(unix_ep.ok());
