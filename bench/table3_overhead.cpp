@@ -22,9 +22,10 @@
 //
 // Besides the google-benchmark suites, the binary runs one instrumented
 // pass per window size with the obs registry armed and writes the
-// per-iteration wall cost, the permutations and search-tree nodes the
-// window search spent, plus the sim.sched_pass percentile histogram to
-// --json (default BENCH_table3.json, empty disables).
+// per-iteration wall cost, the permutations, search-tree nodes and
+// find_start queries the window search spent, plus the sim.sched_pass
+// percentile histogram to --json (default BENCH_table3.json, empty
+// disables).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -198,6 +199,11 @@ std::vector<BenchRecord> instrumented_records() {
     rec.add("permutations_tried", static_cast<double>(stats.permutations_tried));
     rec.add("search_nodes",
             static_cast<double>(registry.counter("core.search_nodes").value()));
+    rec.add("search_queries",
+            static_cast<double>(registry.counter("core.search_queries").value()));
+    rec.add("search_floor_answers",
+            static_cast<double>(
+                registry.counter("core.search_floor_answers").value()));
     rec.add("wall_ms", wall_ms);
     rec.add("ms_per_iteration",
             stats.schedule_calls == 0

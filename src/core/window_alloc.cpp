@@ -138,6 +138,10 @@ struct SearchState {
   SeenStates seen;
   std::size_t permutations = 0;
   std::size_t nodes = 0;
+  /// find_start calls the search made (twin reuses excluded), and how many
+  /// of them answered their floor.
+  std::size_t queries = 0;
+  std::size_t floor_answers = 0;
 };
 
 /// Greedily place `window` in priority order: the identity seed.
@@ -212,6 +216,8 @@ void search(Plan& plan, Objective so_far, std::uint64_t used_mask, bool may_repe
       starts[i] = starts[twin];
     } else {
       starts[i] = plan.find_start(*window[i], floors[i]);
+      ++state.queries;
+      if (starts[i] == floors[i]) ++state.floor_answers;
       open |= bit(i);
     }
     bound.makespan = std::max(bound.makespan, starts[i] + window[i]->walltime);
@@ -310,8 +316,14 @@ WindowDecision WindowAllocator::decide(const Plan& plan,
     static obs::Counter& permutations =
         obs::Registry::global().counter("core.permutations");
     static obs::Counter& nodes = obs::Registry::global().counter("core.search_nodes");
+    static obs::Counter& queries =
+        obs::Registry::global().counter("core.search_queries");
+    static obs::Counter& floor_answers =
+        obs::Registry::global().counter("core.search_floor_answers");
     permutations.add(state.permutations);
     nodes.add(state.nodes);
+    queries.add(state.queries);
+    floor_answers.add(state.floor_answers);
   }
   return decision;
 }

@@ -46,8 +46,12 @@ constexpr CatalogEntry kCatalog[] = {
      "wall time of the whole campaign run_cells call"},
     {"core.permutations", MetricKind::kCounter,
      "window permutations scored by WindowAllocator"},
+    {"core.search_floor_answers", MetricKind::kCounter,
+     "window-search find_start calls whose answer was their floor"},
     {"core.search_nodes", MetricKind::kCounter,
      "window search-tree nodes expanded by WindowAllocator"},
+    {"core.search_queries", MetricKind::kCounter,
+     "find_start calls made by the window search (twin reuses excluded)"},
     {"core.window_decide", MetricKind::kTimer,
      "wall time of one WindowAllocator decision"},
     {"fairness.probes", MetricKind::kCounter,

@@ -38,17 +38,6 @@ std::size_t PartitionCalendar::Timeline::index_after(SimTime t) const {
       std::upper_bound(ends.begin(), ends.end(), t) - ends.begin());
 }
 
-PartitionMachine::LeafMask PartitionCalendar::Timeline::busy_after(
-    SimTime t) const {
-  const std::size_t i = index_after(t);
-  return i < ends.size() ? busy_from[i] : PartitionMachine::LeafMask{};
-}
-
-NodeCount PartitionCalendar::Timeline::occupied_after(SimTime t) const {
-  const std::size_t i = index_after(t);
-  return i < ends.size() ? occupied_from[i] : 0;
-}
-
 void PartitionCalendar::build_timeline() {
   // holds_ is kept in end order, so the timeline is one back-to-front
   // suffix pass writing one entry per distinct end time into storage the
@@ -114,12 +103,9 @@ const PartitionCalendar::Timeline& PartitionCalendar::timeline() {
   return timeline_;
 }
 
-std::size_t PartitionCalendar::first_free_after(std::size_t tier, SimTime t) {
-  const Timeline& tl = timeline();
-  const std::size_t i = tl.index_after(t);
-  if (i >= tl.ends.size()) return 0;
-  if (tl.first_free_pos[tier].empty()) build_tier_table(tier);
-  return tl.first_free_pos[tier][i];
+const std::vector<std::size_t>& PartitionCalendar::tier_table(std::size_t tier) {
+  if (timeline_.first_free_pos[tier].empty()) build_tier_table(tier);
+  return timeline_.first_free_pos[tier];
 }
 
 void PartitionCalendar::on_job_start(const Job& job, SimTime now) {
@@ -205,23 +191,19 @@ PartitionCalendarPlan::TierRef PartitionCalendarPlan::tier_ref(
   return {tier, &base_->machine_->tier_partitions(tier)};
 }
 
-int PartitionCalendarPlan::free_partition_during(const Job& job,
-                                                 SimTime t) const {
-  return free_partition_in(tier_ref(job), t, t + job.walltime);
-}
-
 int PartitionCalendarPlan::free_partition_in(const TierRef& tr, SimTime t,
-                                             SimTime end) const {
+                                             SimTime end, std::size_t bi) const {
   const PartitionMachine& m = *base_->machine_;
   const auto& parts = *tr.parts;
   const auto& tl = base_->timeline();
   // Base holds all start at or before the plan origin <= t, so a base hold
-  // overlaps [t, end) iff its end exceeds t — the busy set is a suffix of
-  // the end-sorted timeline, and the first tier position clear of it is
-  // tabled once per epoch and tier. A partition conflicts with *some*
-  // overlapping hold iff it intersects the union of their masks, so
-  // positions before the tabled one stay in conflict under any overlay.
-  std::size_t pos = base_->first_free_after(tr.tier, t);
+  // overlaps [t, end) iff its end exceeds t — the busy set is the suffix
+  // from bi, and the first tier position clear of it is tabled once per
+  // epoch and tier. A partition conflicts with *some* overlapping hold iff
+  // it intersects the union of their masks, so positions before the tabled
+  // one stay in conflict under any overlay.
+  const bool past_holds = bi >= tl.ends.size();
+  std::size_t pos = past_holds ? 0 : base_->tier_table(tr.tier)[bi];
   if (pos >= parts.size()) return -1;
   if (pinned_ovl_.empty()) return parts[pos];
   PartitionMachine::LeafMask ovl;
@@ -233,51 +215,64 @@ int PartitionCalendarPlan::free_partition_in(const TierRef& tr, SimTime t,
     }
   }
   if (!any_ovl) return parts[pos];
-  const PartitionMachine::LeafMask busy = tl.busy_after(t) | ovl;
+  const PartitionMachine::LeafMask busy = past_holds ? ovl : tl.busy_from[bi] | ovl;
   for (; pos < parts.size(); ++pos) {
     if (!(busy & m.partition_mask(parts[pos])).any()) return parts[pos];
   }
   return -1;
 }
 
-NodeCount PartitionCalendarPlan::peak_usage(SimTime t, Duration duration) const {
+NodeCount PartitionCalendarPlan::peak_usage(SimTime t, Duration duration,
+                                            std::size_t bi) const {
   // Base usage at any s >= t is the suffix sum of end-sorted holds (their
   // starts all precede the origin), so it is non-increasing in s and the
   // base alone peaks at t. Adding the overlay, the combined usage can only
   // rise where an overlay commitment begins — so the exact peak over
   // [t, t+duration) is the max of the usage at t and at each overlay start
   // inside the window, the same value a full sweep over every hold's
-  // boundaries computes in O((holds + overlay) log) per query.
+  // boundaries computes in O((holds + overlay) log) per query. Each overlay
+  // start brings its own timeline index.
   const SimTime end = t + duration;
   const auto& tl = base_->timeline();
-  const auto usage_at = [&](SimTime s) {
-    NodeCount occ = tl.occupied_after(s);
+  const auto usage_at = [&](SimTime s, std::size_t i) {
+    NodeCount occ = i < tl.ends.size() ? tl.occupied_from[i] : 0;
     for (const auto& c : cap_ovl_) {
       if (c.start <= s && c.end > s) occ += c.occupied;
     }
     return occ;
   };
-  NodeCount peak = usage_at(t);
+  NodeCount peak = usage_at(t, bi);
   for (const auto& c : cap_ovl_) {
-    if (c.start > t && c.start < end) peak = std::max(peak, usage_at(c.start));
+    if (c.start > t && c.start < end) {
+      peak = std::max(peak, usage_at(c.start, c.start_index));
+    }
   }
   return peak;
 }
 
-bool PartitionCalendarPlan::feasible_at(const Job& job, SimTime t,
-                                        NodeCount occ) const {
-  return feasible_in(tier_ref(job), job.walltime, occ, t);
-}
-
 bool PartitionCalendarPlan::feasible_in(const TierRef& tr, Duration walltime,
-                                        NodeCount occ, SimTime t) const {
-  if (free_partition_in(tr, t, t + walltime) < 0) return false;
-  return peak_usage(t, walltime) + occ <= base_->machine_->total_nodes();
+                                        NodeCount occ, SimTime t,
+                                        std::size_t bi) const {
+  if (free_partition_in(tr, t, t + walltime, bi) < 0) return false;
+  // Without a soft commit the capacity check is implied. Then every base
+  // hold and every capacity entry is a pinned partition whose occupancy is
+  // its partition's node count, and no two of them that overlap in time
+  // share a leaf: the running jobs are disjoint on the live machine, and
+  // each hard commit took a partition free of the base holds and of the
+  // earlier hard commits over its whole span. A partition of the job's
+  // tier free over [t, t + walltime) is disjoint from all of them too, so
+  // at every instant of that window the holds plus the job fit in the
+  // machine's leaves: peak + occ <= total. Only a soft commit adds
+  // capacity with no partition behind it.
+  if (cap_ovl_.size() == pinned_ovl_.size()) return true;
+  return peak_usage(t, walltime, bi) + occ <= base_->machine_->total_nodes();
 }
 
 bool PartitionCalendarPlan::fits_at(const Job& job, SimTime t) const {
   assert(base_gen_ == base_->gen_ && "stale plan view used across passes");
-  return feasible_at(job, t, base_->machine_->occupancy(job));
+  const TierRef tr = tier_ref(job);
+  return feasible_in(tr, job.walltime, base_->machine_->tiers()[tr.tier], t,
+                     base_->timeline().index_after(t));
 }
 
 SimTime PartitionCalendarPlan::scan_find_start(const Job& job,
@@ -288,26 +283,25 @@ SimTime PartitionCalendarPlan::scan_find_start(const Job& job,
   const NodeCount occ = base_->machine_->tiers()[tr.tier];
   const auto& tl = base_->timeline();
 
-  // Candidate starts: `earliest` plus every time capacity or a partition
-  // frees up (base hold ends and overlay ends). The timeline's end list is
-  // already sorted and distinct, so merge-walking it against the few
-  // overlay ends visits the sorted, distinct candidate sequence without
-  // materializing it.
+  // The floor answers most queries, so it is tried before any candidate
+  // list is gathered.
+  std::size_t bi = tl.index_after(earliest);
+  SimTime t = earliest;
+  if (feasible_in(tr, job.walltime, occ, t, bi)) return t;
+
+  // Later candidates: every time capacity or a partition frees up (base
+  // hold ends and overlay ends; a hard commit's pinned entry ends with its
+  // capacity entry). The timeline's end list is already sorted and
+  // distinct, so merge-walking it against the few overlay ends visits the
+  // sorted, distinct candidate sequence without materializing it. bi stays
+  // index_after(t): every end before it is at or before t.
   std::vector<SimTime>& ovl_ends = scratch_ends_;
-  ovl_ends.clear();
-  for (const auto& iv : pinned_ovl_) {
-    if (iv.end > earliest) ovl_ends.push_back(iv.end);
-  }
   for (const auto& c : cap_ovl_) {
     if (c.end > earliest) ovl_ends.push_back(c.end);
   }
   std::sort(ovl_ends.begin(), ovl_ends.end());
-
-  std::size_t bi = tl.index_after(earliest);
   std::size_t oi = 0;
-  SimTime t = earliest;
   while (true) {
-    if (feasible_in(tr, job.walltime, occ, t)) break;
     SimTime next = kNever;
     if (bi < tl.ends.size()) next = tl.ends[bi];
     if (oi < ovl_ends.size()) next = std::min(next, ovl_ends[oi]);
@@ -317,6 +311,7 @@ SimTime PartitionCalendarPlan::scan_find_start(const Job& job,
     while (bi < tl.ends.size() && tl.ends[bi] == next) ++bi;
     while (oi < ovl_ends.size() && ovl_ends[oi] == next) ++oi;
     t = next;
+    if (feasible_in(tr, job.walltime, occ, t, bi)) break;
   }
   ovl_ends.clear();
   return t;
@@ -334,13 +329,16 @@ SimTime PartitionCalendarPlan::find_start(const Job& job,
 }
 
 void PartitionCalendarPlan::commit(const Job& job, SimTime start) {
-  const NodeCount occ = base_->machine_->occupancy(job);
-  assert(feasible_at(job, start, occ) && "commit at an infeasible start");
-  const int idx = free_partition_during(job, start);
+  const TierRef tr = tier_ref(job);
+  const NodeCount occ = base_->machine_->tiers()[tr.tier];
+  const std::size_t bi = base_->timeline().index_after(start);
+  assert(feasible_in(tr, job.walltime, occ, start, bi) &&
+         "commit at an infeasible start");
+  const int idx = free_partition_in(tr, start, start + job.walltime, bi);
   assert(idx >= 0);
   pinned_ovl_.push_back(
       {start, start + job.walltime, base_->machine_->partition_mask(idx)});
-  cap_ovl_.push_back({start, start + job.walltime, occ});
+  cap_ovl_.push_back({start, start + job.walltime, occ, bi});
   last_placement_ = idx;
 }
 
@@ -354,9 +352,12 @@ void PartitionCalendarPlan::undo_last_commit() {
 }
 
 void PartitionCalendarPlan::commit_soft(const Job& job, SimTime start) {
-  const NodeCount occ = base_->machine_->occupancy(job);
-  assert(feasible_at(job, start, occ) && "commit at an infeasible start");
-  cap_ovl_.push_back({start, start + job.walltime, occ});
+  const TierRef tr = tier_ref(job);
+  const NodeCount occ = base_->machine_->tiers()[tr.tier];
+  const std::size_t bi = base_->timeline().index_after(start);
+  assert(feasible_in(tr, job.walltime, occ, start, bi) &&
+         "commit at an infeasible start");
+  cap_ovl_.push_back({start, start + job.walltime, occ, bi});
   last_placement_ = -1;
 }
 

@@ -38,16 +38,19 @@ class PartitionCalendar final : public PlanProvider {
   /// Per-epoch derived timeline over the base holds. Every base hold
   /// starts at or before the plan origin, so for any query time t >= origin
   /// the holds overlapping [t, anything) are exactly the holds whose end
-  /// exceeds t — a suffix of the end-sorted hold list. Both aggregates a
-  /// query needs over that suffix are computed once per epoch:
+  /// exceeds t — a suffix of the end-sorted hold list, starting at timeline
+  /// index i = index_after(t). Both aggregates a query needs over that
+  /// suffix are computed once per epoch:
   ///   * busy_from[i]  = OR of masks of holds with end >= ends[i]
   ///     (the leaf set any partition must avoid for a start in
   ///     [ends[i-1], ends[i]));
   ///   * occupied_from[i] = sum of their node occupancies (base capacity
   ///     usage at such a start; non-increasing in time, so it is also the
   ///     base's peak over any window starting there).
-  /// This turns the per-candidate O(holds x partitions) conflict scan and
-  /// the O(holds log holds) capacity sweep into one binary search each.
+  /// Index ends.size() stands for "past every hold": nothing busy, nothing
+  /// occupied. A query finds its index once and reads every aggregate at
+  /// it: scan_find_start carries the index along its candidate walk, and
+  /// each overlay entry records its start's index at commit.
   struct Timeline {
     std::vector<SimTime> ends;  // distinct hold ends, ascending
     std::vector<PartitionMachine::LeafMask> busy_from;
@@ -63,9 +66,8 @@ class PartitionCalendar final : public PlanProvider {
     /// about.
     std::vector<std::vector<std::size_t>> first_free_pos;
 
+    /// Index of the first end after t: the suffix of holds live at t.
     [[nodiscard]] std::size_t index_after(SimTime t) const;
-    [[nodiscard]] PartitionMachine::LeafMask busy_after(SimTime t) const;
-    [[nodiscard]] NodeCount occupied_after(SimTime t) const;
   };
 
   struct Delta {
@@ -81,9 +83,9 @@ class PartitionCalendar final : public PlanProvider {
 
   /// The timeline for the current hold set (rebuilt lazily after deltas).
   [[nodiscard]] const Timeline& timeline();
-  /// first_free_pos[tier] at the position for a start at t, building the
+  /// first_free_pos[tier] of the timeline() already built, building the
   /// tier's table first if this epoch has not needed it yet.
-  [[nodiscard]] std::size_t first_free_after(std::size_t tier, SimTime t);
+  [[nodiscard]] const std::vector<std::size_t>& tier_table(std::size_t tier);
 
   void apply_pending();
   void compact(SimTime now);
@@ -134,6 +136,8 @@ class PartitionCalendarPlan final : public Plan {
     SimTime start;
     SimTime end;
     NodeCount occupied;
+    /// Timeline index_after(start), fixed for the view's pass.
+    std::size_t start_index;
   };
 
   /// A job's tier resolved once per query: index into machine tiers()
@@ -144,13 +148,14 @@ class PartitionCalendarPlan final : public Plan {
   };
   [[nodiscard]] TierRef tier_ref(const Job& job) const;
 
-  [[nodiscard]] int free_partition_during(const Job& job, SimTime t) const;
-  [[nodiscard]] int free_partition_in(const TierRef& tr, SimTime t,
-                                      SimTime end) const;
-  [[nodiscard]] NodeCount peak_usage(SimTime t, Duration duration) const;
-  [[nodiscard]] bool feasible_at(const Job& job, SimTime t, NodeCount occ) const;
+  // The queries below take `bi`, the timeline index_after(t) of their
+  // start t, from their caller instead of searching for it again.
+  [[nodiscard]] int free_partition_in(const TierRef& tr, SimTime t, SimTime end,
+                                      std::size_t bi) const;
+  [[nodiscard]] NodeCount peak_usage(SimTime t, Duration duration,
+                                     std::size_t bi) const;
   [[nodiscard]] bool feasible_in(const TierRef& tr, Duration walltime,
-                                 NodeCount occ, SimTime t) const;
+                                 NodeCount occ, SimTime t, std::size_t bi) const;
   [[nodiscard]] SimTime scan_find_start(const Job& job, SimTime earliest) const;
 
   PartitionCalendar* base_;  // non-owning; outlives the view
@@ -158,7 +163,9 @@ class PartitionCalendarPlan final : public Plan {
   std::uint64_t base_gen_;  // staleness check (debug)
   /// This pass's hard commits (concrete partitions).
   std::vector<MaskInterval> pinned_ovl_;
-  /// This pass's capacity commitments (hard and soft).
+  /// This pass's capacity commitments (hard and soft). A hard commit adds
+  /// one entry here and one in pinned_ovl_ with the same span, so the two
+  /// are equally long exactly when the view holds no soft commit.
   std::vector<CapacityInterval> cap_ovl_;
   /// Reused overlay-end buffer for scan_find_start (empty between calls,
   /// so clones copy nothing; capacity persists across the whole search).

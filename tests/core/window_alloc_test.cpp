@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "obs/registry.hpp"
 #include "platform/flat.hpp"
 #include "sched/calendar/calendar.hpp"
 #include "support/reference_plans.hpp"
@@ -380,6 +381,55 @@ TEST(WindowAllocTest, TranspositionsAreExpandedOnce) {
       EXPECT_EQ(decision.placements[i].start, identity[i]);
     }
   }
+}
+
+TEST(WindowAllocTest, SearchCountsItsQueriesAndFloorAnswers) {
+  // The window of TranspositionsAreExpandedOnce. It has no twins, so each
+  // of its 16 expanded nodes queries each of its unplaced jobs once:
+  // 4 + 3 x 4 (root, {D100}, {A0}, {B0}, {C0}) + 2 x 7 + 1 x 4 = 34.
+  // Of those, 23 answer their floor: 3 at the root (A, B, C start now),
+  // 3 under {D100} and {C0}, 2 under {A0}, {B0}, {D100 C0}, {A0 C0} and
+  // {B0 C0}, 1 under {D100 A0}, {D100 B0}, {A0 B100} and {B0 A100}, none
+  // at depth 3.
+  FlatMachine m(100);
+  ASSERT_TRUE(m.start(make_job(99, 40, 100), 0));
+  const Job d = make_job(0, 100, 100);
+  const Job a = make_job(1, 40, 100);
+  const Job b = make_job(2, 30, 100);
+  const Job c = make_job(3, 20, 100);
+  const auto provider = make_plan_provider(m);
+  const WindowAllocator alloc(8);
+  auto& registry = obs::Registry::global();
+  const bool was_enabled = obs::Registry::enabled();
+  obs::Registry::set_enabled(true);
+  struct Counts {
+    std::size_t nodes;
+    std::uint64_t queries;
+    std::uint64_t floor_answers;
+  };
+  const auto decide = [&](const Plan& plan, const std::vector<const Job*>& window) {
+    registry.reset_values();
+    const auto decision = alloc.decide(plan, window, 0);
+    return Counts{decision.nodes_expanded, registry.counter("core.search_queries").value(),
+                  registry.counter("core.search_floor_answers").value()};
+  };
+  for (const bool calendar : {false, true}) {
+    const auto plan = calendar ? provider->plan(0) : test_support::reference_plan(m, 0);
+    const Counts searched = decide(*plan, {&d, &a, &b, &c});
+    EXPECT_EQ(searched.nodes, 16u) << "calendar " << calendar;
+    EXPECT_EQ(searched.queries, 34u) << "calendar " << calendar;
+    EXPECT_EQ(searched.floor_answers, 23u) << "calendar " << calendar;
+    EXPECT_GE(searched.queries, searched.nodes) << "calendar " << calendar;
+    EXPECT_LE(searched.floor_answers, searched.queries) << "calendar " << calendar;
+    // Priority order starts B and C now: no order can do better, so the
+    // search is skipped and asks nothing.
+    const Counts skipped = decide(*plan, {&b, &c});
+    EXPECT_EQ(skipped.nodes, 0u) << "calendar " << calendar;
+    EXPECT_EQ(skipped.queries, 0u) << "calendar " << calendar;
+    EXPECT_EQ(skipped.floor_answers, 0u) << "calendar " << calendar;
+  }
+  registry.reset_values();
+  obs::Registry::set_enabled(was_enabled);
 }
 
 }  // namespace

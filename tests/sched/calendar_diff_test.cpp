@@ -10,9 +10,16 @@
 // exactly — including the partition placement choice, which pins live
 // allocations. Probe jobs keep stable identities across steps so the
 // find_start memo is repeatedly exercised across epoch bumps (a stale memo
-// entry surviving a delta is precisely the bug class this hunts).
+// entry surviving a delta is precisely the bug class this hunts). Each
+// step then stacks a random mix of hard and soft commits on both views and
+// compares them at every overlay boundary, before and after undoing the
+// trailing hard commits: the calendar's shortcuts (timeline indices
+// recorded at commit, the capacity check skipped while no soft commit is
+// present) live exactly there.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -53,6 +60,36 @@ struct Live {
   JobId id;
   SimTime actual_end;
 };
+
+/// A random job size in [1, max_nodes], spread over the machine's scales
+/// rather than clustered near its top.
+NodeCount random_nodes(Rng& rng, NodeCount max_nodes) {
+  const auto nodes = rng.uniform_int(1, max_nodes) >> rng.uniform_int(0, 4);
+  return static_cast<NodeCount>(std::max<std::int64_t>(1, nodes));
+}
+
+/// Compares both views' find_start and fits_at for every probe at every
+/// time in `times`; false (after one failed expectation) at the first
+/// disagreement.
+bool views_agree(const Plan& a, const Plan& b, const std::vector<Job>& probes,
+                 const std::vector<SimTime>& times, int step, const char* when) {
+  for (const Job& probe : probes) {
+    for (const SimTime t : times) {
+      const SimTime sa = a.find_start(probe, t);
+      const SimTime sb = b.find_start(probe, t);
+      const bool fa = a.fits_at(probe, t);
+      const bool fb = b.fits_at(probe, t);
+      if (sa != sb || fa != fb) {
+        ADD_FAILURE() << "step " << step << " " << when << ": probe " << probe.id
+                      << " (" << probe.nodes << " nodes, " << probe.walltime
+                      << " s) at " << t << ": find_start " << sa << " vs " << sb
+                      << ", fits_at " << fa << " vs " << fb;
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 /// Drives `machine` + `cal` through a random event stream, comparing the
 /// calendar view against a fresh machine plan at every step.
@@ -115,24 +152,46 @@ void run_differential(MachineT& machine, PlanProvider& cal, Rng& rng,
           << "step " << step << " probe " << probe.id;
     }
 
-    // Commit agreement: both views absorb the same two commitments, then
-    // must keep answering identically (overlay vs rebuilt-plan ledgers).
-    auto a2 = a->clone();
-    auto b2 = b->clone();
-    for (std::size_t c = 0; c < 2; ++c) {
-      const Job& probe = probes[c];
-      const SimTime sa = a2->find_start(probe, now);
-      const SimTime sb = b2->find_start(probe, now);
-      ASSERT_EQ(sa, sb) << "step " << step;
-      a2->commit(probe, sa);
-      b2->commit(probe, sb);
-      if (compare_placement) {
-        EXPECT_EQ(a2->last_placement(), b2->last_placement()) << "step " << step;
+    // Deep, mixed overlays: both views absorb the same 2-8 commitments,
+    // each hard or soft, each where find_start puts it from a random floor.
+    // After every commit they must agree at now, at every overlay start and
+    // end, and at a random time; then again after each LIFO undo of the
+    // trailing hard commits (soft commits are not undoable).
+    std::vector<SimTime> times = {now};
+    std::vector<bool> hard;
+    const auto commits = rng.uniform_int(2, 8);
+    for (std::int64_t c = 0; c < commits; ++c) {
+      const Job job = make_job(next_id++, random_nodes(rng, max_nodes),
+                               rng.uniform_int(60, 3000));
+      const SimTime floor = now + rng.uniform_int(0, 2500);
+      const SimTime start = a->find_start(job, floor);
+      ASSERT_EQ(start, b->find_start(job, floor)) << "step " << step << " commit " << c;
+      hard.push_back(rng.uniform_int(0, 1) == 1);
+      if (hard.back()) {
+        a->commit(job, start);
+        b->commit(job, start);
+        if (compare_placement) {
+          EXPECT_EQ(a->last_placement(), b->last_placement())
+              << "step " << step << " commit " << c;
+        }
+      } else {
+        a->commit_soft(job, start);
+        b->commit_soft(job, start);
       }
+      times.push_back(start);
+      times.push_back(start + job.walltime);
+      times.push_back(now + rng.uniform_int(0, 5000));
+      if (!views_agree(*a, *b, probes, times, step, "after a commit")) return;
+      times.pop_back();
     }
-    for (const Job& probe : probes) {
-      EXPECT_EQ(a2->find_start(probe, now), b2->find_start(probe, now))
-          << "step " << step << " post-commit probe " << probe.id;
+    while (!hard.empty() && hard.back()) {
+      a->undo_last_commit();
+      b->undo_last_commit();
+      hard.pop_back();
+      times.resize(times.size() - 2);
+      times.push_back(now + rng.uniform_int(0, 5000));
+      if (!views_agree(*a, *b, probes, times, step, "after an undo")) return;
+      times.pop_back();
     }
   }
 }
@@ -152,6 +211,17 @@ TEST(CalendarDiffTest, PartitionRandomDifferential) {
     PartitionCalendar cal(machine);
     Rng rng(2000 + static_cast<std::uint64_t>(trial));
     run_differential(machine, cal, rng, 4096, /*compare_placement=*/true);
+  }
+}
+
+TEST(CalendarDiffTest, IntrepidRandomDifferential) {
+  // The default machine: 80 leaves in 5 rows of 16, with cross-row tiers
+  // (2 and 4 rows) and the full machine.
+  for (int trial = 0; trial < 6; ++trial) {
+    PartitionMachine machine;
+    PartitionCalendar cal(machine);
+    Rng rng(3000 + static_cast<std::uint64_t>(trial));
+    run_differential(machine, cal, rng, machine.total_nodes(), /*compare_placement=*/true);
   }
 }
 
