@@ -144,15 +144,15 @@ struct SearchState {
   std::size_t floor_answers = 0;
 };
 
-/// Greedily place `window` in priority order: the identity seed.
-Objective place_all(const Plan& base, const std::vector<const Job*>& window,
+/// Greedily place `window` in priority order on `plan`: the identity seed.
+/// The placements stay committed; undoing them restores `plan`.
+Objective place_all(Plan& plan, const std::vector<const Job*>& window,
                     SimTime now, std::vector<WindowPlacement>& out) {
-  auto plan = base.clone();
   Objective obj{now, 0};
   out.clear();
   for (const Job* job : window) {
-    const SimTime start = plan->find_start(*job, now);
-    plan->commit(*job, start);
+    const SimTime start = plan.find_start(*job, now);
+    plan.commit(*job, start);
     out.push_back({job->id, start});
     obj.makespan = std::max(obj.makespan, start + job->walltime);
     obj.start_sum += start - now;
@@ -165,11 +165,17 @@ Objective place_all(const Plan& base, const std::vector<const Job*>& window,
 // narrower mask silently aliases slots past its width — slot 32 in a
 // uint32_t mask wraps onto slot 0 and the search revisits placed jobs.
 //
-// Four exact cuts (DESIGN.md D1), each resting on the Plan contract
+// Five exact cuts (DESIGN.md D1), each resting on the Plan contract
 // (platform/machine.hpp):
 //   * whole-node bound — every remaining job's start is known before
 //     recursing, and a commit never makes a start earlier, so
 //     (max end, start sum) over them bounds every completion of the node;
+//   * early cut — both bound components only grow as jobs are added, so
+//     the node returns as soon as the bound over the starts queried so far
+//     fails to beat the incumbent, and queries none of the rest; and the
+//     child loop stops once the node's bound no longer beats an incumbent
+//     an earlier child improved, since every child's bound is at least
+//     its parent's;
 //   * parent-start floors — a job's start at the parent is no later than
 //     its start here, so it is a safe query floor that skips the
 //     candidates the parent's scan already rejected;
@@ -222,16 +228,19 @@ void search(Plan& plan, Objective so_far, std::uint64_t used_mask, bool may_repe
     }
     bound.makespan = std::max(bound.makespan, starts[i] + window[i]->walltime);
     bound.start_sum += starts[i] - state.now;
+    if (!bound.beats(state.best_objective)) return;
   }
-  if (!bound.beats(state.best_objective)) return;
 
   for (std::size_t i = 0; i < n; ++i) {
     if (!(open & bit(i))) continue;
+    // An earlier child may have improved the incumbent. Every child's
+    // bound is at least this node's, so once that bound stops beating it
+    // no later child can; while it does, so does each child's prefix.
+    if (!bound.beats(state.best_objective)) break;
     const Job* job = window[i];
     const SimTime start = starts[i];
     const Objective next{std::max(so_far.makespan, start + job->walltime),
                          so_far.start_sum + (start - state.now)};
-    if (!next.beats(state.best_objective)) continue;
     // Key the child only if some job on its path starts where it could
     // have started before its predecessor was placed.
     const bool child_may_repeat = may_repeat || (depth > 0 && floors[i] == start);
@@ -266,11 +275,14 @@ WindowDecision WindowAllocator::decide(const Plan& plan,
     jobs.resize(static_cast<std::size_t>(max_window_));
   }
 
-  // Seed with the identity permutation so ties keep priority order.
+  // Seed with the identity permutation so ties keep priority order. One
+  // clone serves the seed and the whole search tree: the search undoes
+  // the seed's commits and walks the same clone by commit and undo.
+  const auto trial = plan.clone();
   SearchState state;
   state.window = &jobs;
   state.now = now;
-  state.best_objective = place_all(plan, jobs, now, state.best);
+  state.best_objective = place_all(*trial, jobs, now, state.best);
   state.permutations = 1;
 
   // The search only pays when reordering can change who runs *now*:
@@ -303,9 +315,8 @@ WindowDecision WindowAllocator::decide(const Plan& plan,
     }
     state.starts.assign((n + 1) * n, now);
     state.seen = SeenStates(n);
-    // One root clone, walked by commit + undo down the whole tree.
-    auto root = plan.clone();
-    search(*root, Objective{now, 0}, 0, false, state);
+    for (std::size_t k = 0; k < n; ++k) trial->undo_last_commit();
+    search(*trial, Objective{now, 0}, 0, false, state);
   }
 
   decision.placements = std::move(state.best);

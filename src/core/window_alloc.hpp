@@ -8,8 +8,8 @@
 //
 // The search is branch-and-bound over the permutation tree: placing a job
 // can only extend the makespan and the start sum, and a commit never makes
-// another job's start earlier, so a node whose bound over all of its
-// remaining jobs already reaches the incumbent is pruned. Jobs of equal
+// another job's start earlier, so a node is pruned as soon as its bound
+// over the remaining jobs queried so far reaches the incumbent. Jobs of equal
 // shape (nodes, walltime) are permuted in priority order only, and a state
 // (placed jobs, their starts and placements) that two orders reach is
 // expanded once. The identity (priority-order) permutation is evaluated
@@ -42,9 +42,9 @@ struct WindowDecision {
   std::size_t permutations_tried = 0;
 
   /// Search-tree nodes expanded: the root plus every inner node whose
-  /// remaining jobs' starts were queried. Leaves and nodes skipped as a
-  /// repeat of an expanded state do not count; 0 when the search is
-  /// skipped.
+  /// remaining jobs' starts were queried (up to the first that let the
+  /// bound cut it). Leaves and nodes skipped as a repeat of an expanded
+  /// state do not count; 0 when the search is skipped.
   std::size_t nodes_expanded = 0;
 };
 

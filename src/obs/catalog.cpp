@@ -19,7 +19,8 @@ namespace {
 // in sync — it is generated from this table's content.
 constexpr CatalogEntry kCatalog[] = {
     {"calendar.tier_tables", MetricKind::kCounter,
-     "partition-calendar tier tables built (at most one per tier and epoch)"},
+     "partition-calendar per-tier blocked-set tables built (at most one per tier "
+     "and epoch)"},
     {"calendar.timeline_builds", MetricKind::kCounter,
      "partition-calendar timelines rebuilt after start/finish deltas"},
     {"campaign.cells", MetricKind::kCounter,

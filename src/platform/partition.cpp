@@ -1,10 +1,36 @@
 #include "platform/partition.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include "util/fmt.hpp"
 
 namespace amjs {
+namespace {
+
+using PositionSet = PartitionMachine::PositionSet;
+
+/// kBelow[k]: positions [0, k), k in [0, 128].
+constexpr auto kBelow = [] {
+  std::array<PositionSet, 129> below{};
+  for (std::size_t k = 1; k < below.size(); ++k) {
+    below[k] = below[k - 1];
+    (k <= 64 ? below[k].lo : below[k].hi) |= std::uint64_t{1} << ((k - 1) % 64);
+  }
+  return below;
+}();
+
+/// Positions [first, last): below `last` and not below `first`, so empty
+/// when first >= last.
+PositionSet run(std::size_t first, std::size_t last) {
+  assert(first < kBelow.size() && last < kBelow.size());
+  const PositionSet& upto = kBelow[last];
+  const PositionSet& before = kBelow[first];
+  return {upto.lo & ~before.lo, upto.hi & ~before.hi};
+}
+
+}  // namespace
 
 std::string PartitionDef::name() const {
   return amjs::format("P[{}..{}]x{}", first_leaf, first_leaf + leaf_count - 1, size);
@@ -66,6 +92,46 @@ void PartitionMachine::build_partitions() {
     const auto it = std::lower_bound(tiers_.begin(), tiers_.end(),
                                      parts_[static_cast<std::size_t>(i)].size);
     tier_parts_[static_cast<std::size_t>(it - tiers_.begin())].push_back(i);
+  }
+#ifndef NDEBUG
+  // The layout build_conflicts() relies on: a tier's partitions all span
+  // one width w and sit at position first_leaf / w of the tier's list; w
+  // is a power of two except for a full-machine tier of one position.
+  for (const auto& list : tier_parts_) {
+    const int w = parts_[static_cast<std::size_t>(list.front())].leaf_count;
+    assert(std::has_single_bit(static_cast<unsigned>(w)) ||
+           (list.size() == 1 && w == total_leaves));
+    for (std::size_t pos = 0; pos < list.size(); ++pos) {
+      const auto& def = parts_[static_cast<std::size_t>(list[pos])];
+      assert(def.leaf_count == w && def.first_leaf == static_cast<int>(pos) * w);
+    }
+  }
+#endif
+  build_conflicts();
+}
+
+void PartitionMachine::build_conflicts() {
+  // Tier t's position k covers leaves [k * w, (k + 1) * w), so partition p
+  // (leaves [f, f + n)) meets exactly positions [f / w, ceil((f + n) / w)),
+  // clipped to the tier's size: one run per (tier, partition), found with
+  // shifts. The one tier whose width is no power of two is the full
+  // machine's, whose single position every partition meets.
+  conflicts_.resize(tiers_.size() * parts_.size());
+  for (std::size_t t = 0; t < tiers_.size(); ++t) {
+    const std::size_t count = tier_parts_[t].size();
+    const auto w =
+        static_cast<unsigned>(parts_[static_cast<std::size_t>(tier_parts_[t].front())].leaf_count);
+    PositionSet* row = &conflicts_[t * parts_.size()];
+    if (!std::has_single_bit(w)) {
+      std::fill(row, row + parts_.size(), run(0, 1));
+      continue;
+    }
+    const int shift = std::countr_zero(w);
+    for (std::size_t p = 0; p < parts_.size(); ++p) {
+      const auto first = static_cast<std::size_t>(parts_[p].first_leaf);
+      const auto last = first + static_cast<std::size_t>(parts_[p].leaf_count) - 1;
+      row[p] = run(first >> shift, std::min((last >> shift) + 1, count));
+    }
   }
 }
 

@@ -16,7 +16,9 @@
 //     approximation of Intrepid's actual wiring closures.
 #pragma once
 
+#include <bit>
 #include <bitset>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -52,6 +54,25 @@ class PartitionMachine final : public Machine {
  public:
   static constexpr int kMaxLeaves = 128;
   using LeafMask = std::bitset<kMaxLeaves>;
+
+  /// A set of positions in one tier's partition list (tier_partitions()):
+  /// bit p of the 128 stands for position p, enough for a tier of
+  /// kMaxLeaves one-leaf partitions.
+  struct PositionSet {
+    std::uint64_t lo = 0;  // positions 0-63
+    std::uint64_t hi = 0;  // positions 64-127
+
+    PositionSet& operator|=(const PositionSet& other) {
+      lo |= other.lo;
+      hi |= other.hi;
+      return *this;
+    }
+    /// Lowest position not in the set; 128 when every position is.
+    [[nodiscard]] std::size_t first_clear() const {
+      return ~lo != 0 ? static_cast<std::size_t>(std::countr_zero(~lo))
+                      : 64 + static_cast<std::size_t>(std::countr_zero(~hi));
+    }
+  };
 
   explicit PartitionMachine(PartitionConfig config = {});
 
@@ -94,6 +115,13 @@ class PartitionMachine final : public Machine {
     return part_masks_.at(static_cast<std::size_t>(idx));
   }
 
+  /// Positions in tier_partitions(tier) whose partition shares a leaf with
+  /// partition `idx` (index into partitions()); no position at or past the
+  /// tier's size is set. Tabled at construction.
+  [[nodiscard]] const PositionSet& tier_conflicts(int idx, std::size_t tier) const {
+    return conflicts_[tier * parts_.size() + static_cast<std::size_t>(idx)];
+  }
+
   /// A live allocation together with the partition it holds.
   struct LiveAlloc {
     RunningAlloc alloc;
@@ -115,6 +143,7 @@ class PartitionMachine final : public Machine {
   [[nodiscard]] int pick_partition(const Job& job) const;
 
   void build_partitions();
+  void build_conflicts();
 
   PartitionConfig config_;
   std::vector<PartitionDef> parts_;
@@ -122,6 +151,8 @@ class PartitionMachine final : public Machine {
   /// tier_parts_[t]: indices of partitions of size tiers_[t], ascending.
   std::vector<std::vector<int>> tier_parts_;
   std::vector<LeafMask> part_masks_;
+  /// conflicts_[t * parts_.size() + p]: tier_conflicts(p, t).
+  std::vector<PositionSet> conflicts_;
   LeafMask busy_mask_;
   NodeCount busy_nodes_ = 0;
   std::map<JobId, LiveAlloc> allocs_;

@@ -19,9 +19,7 @@ void PartitionCalendar::rebuild(SimTime now) {
     // resolves them at this instant).
     const SimTime end = std::max(live.alloc.predicted_end, now);
     if (end > now) {
-      holds_.push_back(Hold{id, now, end,
-                            machine_->partition_mask(live.partition),
-                            live.alloc.occupied});
+      holds_.push_back(Hold{id, now, end, live.partition, live.alloc.occupied});
     }
   }
   std::stable_sort(holds_.begin(), holds_.end(),
@@ -48,23 +46,19 @@ void PartitionCalendar::build_timeline() {
     if (i == 0 || holds_[i - 1].end != holds_[i].end) ++distinct;
   }
   tl.ends.resize(distinct);
-  tl.busy_from.resize(distinct);
   tl.occupied_from.resize(distinct);
-  PartitionMachine::LeafMask busy;
   NodeCount occ = 0;
   std::size_t at = distinct;
   for (std::size_t i = holds_.size(); i-- > 0;) {
-    busy |= holds_[i].mask;
     occ += holds_[i].occupied;
     if (i == 0 || holds_[i - 1].end != holds_[i].end) {
       --at;
       tl.ends[at] = holds_[i].end;
-      tl.busy_from[at] = busy;
       tl.occupied_from[at] = occ;
     }
   }
-  tl.first_free_pos.resize(machine_->tiers().size());
-  for (auto& ff : tl.first_free_pos) ff.clear();
+  tl.tiers.resize(machine_->tiers().size());
+  for (auto& table : tl.tiers) table.blocked_from.clear();
   if (obs::Registry::enabled()) {
     static obs::Counter& builds =
         obs::Registry::global().counter("calendar.timeline_builds");
@@ -73,20 +67,24 @@ void PartitionCalendar::build_timeline() {
 }
 
 void PartitionCalendar::build_tier_table(std::size_t tier) {
-  // First base-conflict-free position per timeline index. Walking i
-  // downward only grows the busy mask, so the position is monotone and the
-  // table costs O(ends + tier size).
+  // The same back-to-front suffix pass as build_timeline, ORing each
+  // hold's tabled conflicts with the tier. Walking i downward only grows
+  // the blocked set, so once a set blocks the whole tier every earlier
+  // one does too, and open_from is the lowest index still open.
   Timeline& tl = timeline_;
-  const auto& list = machine_->tier_partitions(tier);
-  auto& ff = tl.first_free_pos[tier];
-  ff.resize(tl.ends.size());
-  std::size_t pos = 0;
-  for (std::size_t i = tl.ends.size(); i-- > 0;) {
-    while (pos < list.size() &&
-           (tl.busy_from[i] & machine_->partition_mask(list[pos])).any()) {
-      ++pos;
+  const std::size_t count = machine_->tier_partitions(tier).size();
+  TierTable& table = tl.tiers[tier];
+  table.blocked_from.resize(tl.ends.size() + 1);
+  PartitionMachine::PositionSet blocked;
+  std::size_t at = tl.ends.size();
+  table.blocked_from[at] = blocked;
+  table.open_from = at;
+  for (std::size_t i = holds_.size(); i-- > 0;) {
+    blocked |= machine_->tier_conflicts(holds_[i].partition, tier);
+    if (i == 0 || holds_[i - 1].end != holds_[i].end) {
+      table.blocked_from[--at] = blocked;
+      if (table.open_from == at + 1 && blocked.first_clear() < count) table.open_from = at;
     }
-    ff[i] = pos;
   }
   if (obs::Registry::enabled()) {
     static obs::Counter& tables =
@@ -103,9 +101,10 @@ const PartitionCalendar::Timeline& PartitionCalendar::timeline() {
   return timeline_;
 }
 
-const std::vector<std::size_t>& PartitionCalendar::tier_table(std::size_t tier) {
-  if (timeline_.first_free_pos[tier].empty()) build_tier_table(tier);
-  return timeline_.first_free_pos[tier];
+const PartitionCalendar::TierTable& PartitionCalendar::tier_table(std::size_t tier) {
+  const Timeline& tl = timeline();
+  if (tl.tiers[tier].blocked_from.empty()) build_tier_table(tier);
+  return tl.tiers[tier];
 }
 
 void PartitionCalendar::on_job_start(const Job& job, SimTime now) {
@@ -119,14 +118,14 @@ void PartitionCalendar::on_job_start(const Job& job, SimTime now) {
   }
   Delta d{Delta::Kind::kStart, job.id, now,
           it->second.alloc.predicted_end,
-          machine_->partition_mask(it->second.partition),
+          it->second.partition,
           it->second.alloc.occupied};
   pending_.push_back(d);
 }
 
 void PartitionCalendar::on_job_finish(JobId job, SimTime now) {
   if (!synced_) return;
-  pending_.push_back({Delta::Kind::kFinish, job, now, 0, {}, 0});
+  pending_.push_back({Delta::Kind::kFinish, job, now, 0, -1, 0});
 }
 
 void PartitionCalendar::apply_pending() {
@@ -137,7 +136,7 @@ void PartitionCalendar::apply_pending() {
         const auto at = std::upper_bound(
             holds_.begin(), holds_.end(), d.end,
             [](SimTime end, const Hold& h) { return end < h.end; });
-        holds_.insert(at, Hold{d.job, d.at, d.end, d.mask, d.occupied});
+        holds_.insert(at, Hold{d.job, d.at, d.end, d.partition, d.occupied});
       }
     } else {
       // Finished jobs vanish from the future outright — exactly as a
@@ -188,38 +187,23 @@ std::unique_ptr<Plan> PartitionCalendarPlan::clone() const {
 PartitionCalendarPlan::TierRef PartitionCalendarPlan::tier_ref(
     const Job& job) const {
   const std::size_t tier = base_->machine_->tier_of(job);
-  return {tier, &base_->machine_->tier_partitions(tier)};
+  return {tier, &base_->machine_->tier_partitions(tier), &base_->tier_table(tier)};
 }
 
 int PartitionCalendarPlan::free_partition_in(const TierRef& tr, SimTime t,
                                              SimTime end, std::size_t bi) const {
-  const PartitionMachine& m = *base_->machine_;
-  const auto& parts = *tr.parts;
-  const auto& tl = base_->timeline();
   // Base holds all start at or before the plan origin <= t, so a base hold
-  // overlaps [t, end) iff its end exceeds t — the busy set is the suffix
-  // from bi, and the first tier position clear of it is tabled once per
-  // epoch and tier. A partition conflicts with *some* overlapping hold iff
-  // it intersects the union of their masks, so positions before the tabled
-  // one stay in conflict under any overlay.
-  const bool past_holds = bi >= tl.ends.size();
-  std::size_t pos = past_holds ? 0 : base_->tier_table(tr.tier)[bi];
-  if (pos >= parts.size()) return -1;
-  if (pinned_ovl_.empty()) return parts[pos];
-  PartitionMachine::LeafMask ovl;
-  bool any_ovl = false;
+  // overlaps [t, end) iff its end exceeds t: the positions they block are
+  // tabled at bi. A pinned overlay blocks the positions its partition
+  // meets while it overlaps [t, end). The first position left clear is
+  // the tier's first free partition.
+  const PartitionMachine& m = *base_->machine_;
+  PartitionMachine::PositionSet blocked = tr.table->blocked_from[bi];
   for (const auto& iv : pinned_ovl_) {
-    if (iv.end > t && iv.start < end) {
-      ovl |= iv.mask;
-      any_ovl = true;
-    }
+    if (iv.end > t && iv.start < end) blocked |= m.tier_conflicts(iv.partition, tr.tier);
   }
-  if (!any_ovl) return parts[pos];
-  const PartitionMachine::LeafMask busy = past_holds ? ovl : tl.busy_from[bi] | ovl;
-  for (; pos < parts.size(); ++pos) {
-    if (!(busy & m.partition_mask(parts[pos])).any()) return parts[pos];
-  }
-  return -1;
+  const std::size_t pos = blocked.first_clear();
+  return pos < tr.parts->size() ? (*tr.parts)[pos] : -1;
 }
 
 NodeCount PartitionCalendarPlan::peak_usage(SimTime t, Duration duration,
@@ -283,21 +267,27 @@ SimTime PartitionCalendarPlan::scan_find_start(const Job& job,
   const NodeCount occ = base_->machine_->tiers()[tr.tier];
   const auto& tl = base_->timeline();
 
-  // The floor answers most queries, so it is tried before any candidate
-  // list is gathered.
+  // Candidates: the floor, then every time capacity or a partition frees
+  // up (base hold ends and overlay ends; a hard commit's pinned entry ends
+  // with its capacity entry). A candidate whose index is below the tier's
+  // open_from is blocked by the base alone, so the first one worth testing
+  // is the floor or ends[open_from - 1], whichever is later. It answers
+  // most queries, so it is tried before any overlay end is gathered.
   std::size_t bi = tl.index_after(earliest);
   SimTime t = earliest;
+  if (bi < tr.table->open_from) {
+    bi = tr.table->open_from;
+    t = tl.ends[bi - 1];
+  }
   if (feasible_in(tr, job.walltime, occ, t, bi)) return t;
 
-  // Later candidates: every time capacity or a partition frees up (base
-  // hold ends and overlay ends; a hard commit's pinned entry ends with its
-  // capacity entry). The timeline's end list is already sorted and
-  // distinct, so merge-walking it against the few overlay ends visits the
-  // sorted, distinct candidate sequence without materializing it. bi stays
+  // The timeline's end list is already sorted and distinct, so
+  // merge-walking it against the few overlay ends visits the sorted,
+  // distinct candidate sequence without materializing it. bi stays
   // index_after(t): every end before it is at or before t.
   std::vector<SimTime>& ovl_ends = scratch_ends_;
   for (const auto& c : cap_ovl_) {
-    if (c.end > earliest) ovl_ends.push_back(c.end);
+    if (c.end > t) ovl_ends.push_back(c.end);
   }
   std::sort(ovl_ends.begin(), ovl_ends.end());
   std::size_t oi = 0;
@@ -336,8 +326,7 @@ void PartitionCalendarPlan::commit(const Job& job, SimTime start) {
          "commit at an infeasible start");
   const int idx = free_partition_in(tr, start, start + job.walltime, bi);
   assert(idx >= 0);
-  pinned_ovl_.push_back(
-      {start, start + job.walltime, base_->machine_->partition_mask(idx)});
+  pinned_ovl_.push_back({start, start + job.walltime, idx});
   cap_ovl_.push_back({start, start + job.walltime, occ, bi});
   last_placement_ = idx;
 }

@@ -1,4 +1,4 @@
-// Incremental calendar over a PartitionMachine: persistent pinned-mask /
+// Incremental calendar over a PartitionMachine: persistent partition /
 // capacity holds for running jobs, updated by start/finish deltas instead
 // of re-derived from the allocation table every pass.
 #pragma once
@@ -31,40 +31,45 @@ class PartitionCalendar final : public PlanProvider {
     JobId job;
     SimTime start;
     SimTime end;
-    PartitionMachine::LeafMask mask;
+    int partition;  // index into the machine's partitions()
     NodeCount occupied;
+  };
+
+  /// One tier's view of the timeline, built when a query first reaches
+  /// the tier in an epoch (blocked_from empty until then); a pass touches
+  /// only the tiers it asks about.
+  struct TierTable {
+    /// blocked_from[i]: OR of the machine's tier_conflicts over the holds
+    /// with end >= ends[i] — the tier positions a start in
+    /// [ends[i-1], ends[i]) cannot use whatever the overlays. The last
+    /// entry, index ends.size(), is past every hold and empty.
+    std::vector<PartitionMachine::PositionSet> blocked_from;
+    /// First index whose blocked set leaves a tier position clear. Blocked
+    /// sets only shrink along the timeline, so every earlier index is
+    /// fully blocked by the base alone, and no overlay can make a start
+    /// before ends[open_from - 1] feasible.
+    std::size_t open_from = 0;
   };
 
   /// Per-epoch derived timeline over the base holds. Every base hold
   /// starts at or before the plan origin, so for any query time t >= origin
   /// the holds overlapping [t, anything) are exactly the holds whose end
   /// exceeds t — a suffix of the end-sorted hold list, starting at timeline
-  /// index i = index_after(t). Both aggregates a query needs over that
+  /// index i = index_after(t). The aggregates a query needs over that
   /// suffix are computed once per epoch:
-  ///   * busy_from[i]  = OR of masks of holds with end >= ends[i]
-  ///     (the leaf set any partition must avoid for a start in
-  ///     [ends[i-1], ends[i]));
   ///   * occupied_from[i] = sum of their node occupancies (base capacity
   ///     usage at such a start; non-increasing in time, so it is also the
-  ///     base's peak over any window starting there).
-  /// Index ends.size() stands for "past every hold": nothing busy, nothing
-  /// occupied. A query finds its index once and reads every aggregate at
-  /// it: scan_find_start carries the index along its candidate walk, and
-  /// each overlay entry records its start's index at commit.
+  ///     base's peak over any window starting there);
+  ///   * tiers[tier].blocked_from[i], the tier positions they block.
+  /// Index ends.size() stands for "past every hold": nothing blocked,
+  /// nothing occupied. A query finds its index once and reads every
+  /// aggregate at it: scan_find_start carries the index along its
+  /// candidate walk, and each overlay entry records its start's index at
+  /// commit.
   struct Timeline {
     std::vector<SimTime> ends;  // distinct hold ends, ascending
-    std::vector<PartitionMachine::LeafMask> busy_from;
     std::vector<NodeCount> occupied_from;
-    /// first_free_pos[tier][i]: first position in tier `tier`'s partition
-    /// list (ascending partition index, as tier_partitions() orders it)
-    /// whose partition has no base-hold conflict for starts in
-    /// [ends[i-1], ends[i]); the tier's list size when every partition
-    /// conflicts. Every earlier position conflicts with a base hold
-    /// regardless of any overlay, so per-query scans may start here.
-    /// A tier's table is built when a query first reaches that tier in an
-    /// epoch (empty until then); a pass touches only the tiers it asks
-    /// about.
-    std::vector<std::vector<std::size_t>> first_free_pos;
+    std::vector<TierTable> tiers;  // one per machine tier
 
     /// Index of the first end after t: the suffix of holds live at t.
     [[nodiscard]] std::size_t index_after(SimTime t) const;
@@ -77,15 +82,15 @@ class PartitionCalendar final : public PlanProvider {
     // kStart only: placement captured from the machine at delta time (the
     // allocation may be gone again by the time the delta is applied).
     SimTime end = 0;
-    PartitionMachine::LeafMask mask;
+    int partition = -1;
     NodeCount occupied = 0;
   };
 
   /// The timeline for the current hold set (rebuilt lazily after deltas).
   [[nodiscard]] const Timeline& timeline();
-  /// first_free_pos[tier] of the timeline() already built, building the
-  /// tier's table first if this epoch has not needed it yet.
-  [[nodiscard]] const std::vector<std::size_t>& tier_table(std::size_t tier);
+  /// The tier's table in the timeline() already built, building it first
+  /// if this epoch has not needed it yet.
+  [[nodiscard]] const TierTable& tier_table(std::size_t tier);
 
   void apply_pending();
   void compact(SimTime now);
@@ -127,10 +132,11 @@ class PartitionCalendarPlan final : public Plan {
   void undo_last_commit() override;
 
  private:
-  struct MaskInterval {
+  /// A hard commit's partition over [start, end).
+  struct PinnedInterval {
     SimTime start;
     SimTime end;
-    PartitionMachine::LeafMask mask;
+    int partition;  // index into the machine's partitions()
   };
   struct CapacityInterval {
     SimTime start;
@@ -140,11 +146,12 @@ class PartitionCalendarPlan final : public Plan {
     std::size_t start_index;
   };
 
-  /// A job's tier resolved once per query: index into machine tiers()
-  /// plus that tier's partition list.
+  /// A job's tier resolved once per query: index into machine tiers(),
+  /// that tier's partition list, and its table in the current timeline.
   struct TierRef {
     std::size_t tier;
     const std::vector<int>* parts;
+    const PartitionCalendar::TierTable* table;
   };
   [[nodiscard]] TierRef tier_ref(const Job& job) const;
 
@@ -162,7 +169,7 @@ class PartitionCalendarPlan final : public Plan {
   SimTime origin_;
   std::uint64_t base_gen_;  // staleness check (debug)
   /// This pass's hard commits (concrete partitions).
-  std::vector<MaskInterval> pinned_ovl_;
+  std::vector<PinnedInterval> pinned_ovl_;
   /// This pass's capacity commitments (hard and soft). A hard commit adds
   /// one entry here and one in pinned_ovl_ with the same span, so the two
   /// are equally long exactly when the view holds no soft commit.

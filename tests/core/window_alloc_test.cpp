@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "platform/flat.hpp"
 #include "sched/calendar/calendar.hpp"
 #include "support/reference_plans.hpp"
+#include "support/window_search_reference.hpp"
 #include "util/rng.hpp"
 
 namespace amjs {
@@ -385,12 +388,21 @@ TEST(WindowAllocTest, TranspositionsAreExpandedOnce) {
 
 TEST(WindowAllocTest, SearchCountsItsQueriesAndFloorAnswers) {
   // The window of TranspositionsAreExpandedOnce. It has no twins, so each
-  // of its 16 expanded nodes queries each of its unplaced jobs once:
-  // 4 + 3 x 4 (root, {D100}, {A0}, {B0}, {C0}) + 2 x 7 + 1 x 4 = 34.
-  // Of those, 23 answer their floor: 3 at the root (A, B, C start now),
-  // 3 under {D100} and {C0}, 2 under {A0}, {B0}, {D100 C0}, {A0 C0} and
-  // {B0 C0}, 1 under {D100 A0}, {D100 B0}, {A0 B100} and {B0 A100}, none
-  // at depth 3.
+  // of its 16 expanded nodes queries its unplaced jobs in slot order, once
+  // each, until the bound over the starts so far reaches the incumbent
+  // (300, 300):
+  //   * root, {D100}, {A0}, {B0}, {C0} query all: 4 + 3 x 4 = 16;
+  //   * {D100 C0}, {A0 C0}, {B0 C0} query both of their jobs: 2 x 3 = 6;
+  //   * {D100 A0}, {D100 B0}, {A0 B100} and {B0 A100} stop after their
+  //     first query: it starts B, A, D and D at 200, which lifts the
+  //     partial bound to (300, 300), so C is never asked: 1 x 4 = 4;
+  //   * the four nodes at depth 3 ask about their last job: 1 x 4 = 4.
+  // That is 30 queries (34 without the early cut, which also asked C
+  // under the four nodes that stop early). Of those, 19 answer their
+  // floor: 3 at the root (A, B, C start now), 3 under {D100} and {C0}, 2
+  // under {A0}, {B0}, {D100 C0}, {A0 C0} and {B0 C0}; none under the four
+  // nodes that stop early (their one answer is 200; the C0 each used to
+  // add is gone) and none at depth 3.
   FlatMachine m(100);
   ASSERT_TRUE(m.start(make_job(99, 40, 100), 0));
   const Job d = make_job(0, 100, 100);
@@ -417,8 +429,8 @@ TEST(WindowAllocTest, SearchCountsItsQueriesAndFloorAnswers) {
     const auto plan = calendar ? provider->plan(0) : test_support::reference_plan(m, 0);
     const Counts searched = decide(*plan, {&d, &a, &b, &c});
     EXPECT_EQ(searched.nodes, 16u) << "calendar " << calendar;
-    EXPECT_EQ(searched.queries, 34u) << "calendar " << calendar;
-    EXPECT_EQ(searched.floor_answers, 23u) << "calendar " << calendar;
+    EXPECT_EQ(searched.queries, 30u) << "calendar " << calendar;
+    EXPECT_EQ(searched.floor_answers, 19u) << "calendar " << calendar;
     EXPECT_GE(searched.queries, searched.nodes) << "calendar " << calendar;
     EXPECT_LE(searched.floor_answers, searched.queries) << "calendar " << calendar;
     // Priority order starts B and C now: no order can do better, so the
@@ -427,6 +439,63 @@ TEST(WindowAllocTest, SearchCountsItsQueriesAndFloorAnswers) {
     EXPECT_EQ(skipped.nodes, 0u) << "calendar " << calendar;
     EXPECT_EQ(skipped.queries, 0u) << "calendar " << calendar;
     EXPECT_EQ(skipped.floor_answers, 0u) << "calendar " << calendar;
+  }
+  registry.reset_values();
+  obs::Registry::set_enabled(was_enabled);
+}
+
+TEST(WindowAllocTest, EarlyCutStopsANodeAndAChildLoop) {
+  // Flat machine of 100 nodes; a running job holds 50 until t=100. Window
+  // in priority order: A (60 nodes, walltime 100), B (50, 300), C (40,
+  // 100). Alone, A starts at 100 and B and C now.
+  //
+  // Identity: A100, then B overlaps A unless it waits for A's end (B200),
+  // and C0 -> (500, 300). B first does better: B0, A300, C100 -> (400,
+  // 400). The search, queries in slot order:
+  //   root: A100 B0 C0, bound (300, 100)
+  //   {A100}: B200 lifts the partial bound to (500, 300), the incumbent:
+  //     the node stops after its first query and never asks about C
+  //   {B0}: A300 C100, bound (400, 400)
+  //     {B0 A300}: C100, then the leaf (400, 400) becomes the incumbent
+  //     {B0 C100}: not entered: {B0}'s bound no longer beats the
+  //       incumbent, so the child loop stops
+  //   {C0}: A100 B100, bound (400, 200)
+  //     {C0 A100}: B200, bound (500, 300): cut
+  //     {C0 B100}: A400, bound (500, 500): cut
+  // That is 7 nodes and 3 + 1 + 2 + 1 + 2 + 1 + 1 = 11 queries. Without
+  // the early cut {A100} would also ask about C, and {B0 C100} would be
+  // expanded and ask about A: 8 nodes and 13 queries, same decision.
+  FlatMachine m(100);
+  ASSERT_TRUE(m.start(make_job(99, 50, 100), 0));
+  const Job a = make_job(0, 60, 100);
+  const Job b = make_job(1, 50, 300);
+  const Job c = make_job(2, 40, 100);
+  const std::vector<const Job*> window = {&a, &b, &c};
+  const auto provider = make_plan_provider(m);
+  const WindowAllocator alloc(8);
+  auto& registry = obs::Registry::global();
+  const bool was_enabled = obs::Registry::enabled();
+  obs::Registry::set_enabled(true);
+  for (const bool calendar : {false, true}) {
+    const auto plan = calendar ? provider->plan(0) : test_support::reference_plan(m, 0);
+    registry.reset_values();
+    const auto decision = alloc.decide(*plan, window, 0);
+    EXPECT_EQ(decision.nodes_expanded, 7u) << "calendar " << calendar;
+    EXPECT_EQ(registry.counter("core.search_queries").value(), 11u)
+        << "calendar " << calendar;
+    EXPECT_EQ(decision.permutations_tried, 2u) << "calendar " << calendar;
+    EXPECT_EQ(decision.makespan, 400) << "calendar " << calendar;
+    const auto reference = test_support::reference_window_decide(*plan, window, 0);
+    ASSERT_EQ(decision.placements.size(), reference.placements.size());
+    for (std::size_t i = 0; i < reference.placements.size(); ++i) {
+      EXPECT_EQ(decision.placements[i].id, reference.placements[i].id) << i;
+      EXPECT_EQ(decision.placements[i].start, reference.placements[i].start) << i;
+    }
+    const std::vector<std::pair<JobId, SimTime>> best = {{1, 0}, {0, 300}, {2, 100}};
+    for (std::size_t i = 0; i < best.size(); ++i) {
+      EXPECT_EQ(decision.placements[i].id, best[i].first) << i;
+      EXPECT_EQ(decision.placements[i].start, best[i].second) << i;
+    }
   }
   registry.reset_values();
   obs::Registry::set_enabled(was_enabled);

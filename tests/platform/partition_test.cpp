@@ -216,6 +216,40 @@ TEST(PartitionMachineTest, StaleHintFallsBackToMachineChoice) {
   EXPECT_EQ(m.busy_nodes(), 4096);
 }
 
+TEST(PartitionMachineTest, TierConflictsMatchLeafMasks) {
+  // The conflict table is built from leaf ranges by shifts; check it
+  // against the leaf masks on three topologies. The Intrepid default (5
+  // rows) and {512, 4, 3} each have a one-partition tier that is not the
+  // full machine (4 rows of 5, 2 rows of 3); {512, 8, 2} has a full
+  // machine that is a power-of-two row group.
+  const PartitionConfig intrepid;
+  for (const PartitionConfig& cfg :
+       {intrepid, PartitionConfig{512, 4, 3}, PartitionConfig{512, 8, 2}}) {
+    PartitionMachine m(cfg);
+    const int total_leaves = cfg.row_leaves * cfg.rows;
+    int lone_partial_tiers = 0;
+    for (std::size_t tier = 0; tier < m.tiers().size(); ++tier) {
+      const auto& list = m.tier_partitions(tier);
+      if (list.size() == 1 &&
+          m.partitions()[static_cast<std::size_t>(list.front())].leaf_count != total_leaves) {
+        ++lone_partial_tiers;
+      }
+      for (int p = 0; p < static_cast<int>(m.partitions().size()); ++p) {
+        const auto& conflicts = m.tier_conflicts(p, tier);
+        for (std::size_t pos = 0; pos < 128; ++pos) {
+          const bool meets = pos < list.size() &&
+                             (m.partition_mask(list[pos]) & m.partition_mask(p)).any();
+          const std::uint64_t word = pos < 64 ? conflicts.lo : conflicts.hi;
+          EXPECT_EQ(((word >> (pos % 64)) & 1U) != 0, meets)
+              << "rows " << cfg.rows << " row_leaves " << cfg.row_leaves << " tier "
+              << tier << " partition " << p << " position " << pos;
+        }
+      }
+    }
+    EXPECT_EQ(lone_partial_tiers, cfg.rows == 2 ? 0 : 1) << "rows " << cfg.rows;
+  }
+}
+
 TEST(PartitionDefTest, NameContainsRange) {
   PartitionMachine m(tiny_config());
   const auto& p = m.partitions().front();
