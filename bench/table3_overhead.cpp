@@ -24,8 +24,10 @@
 // pass per window size with the obs registry armed and writes the
 // per-iteration wall cost, the permutations, search-tree nodes and
 // find_start queries the window search spent, plus the sim.sched_pass
-// percentile histogram to --json (default BENCH_table3.json, empty
-// disables).
+// and core.window_decide percentile histograms to --json (default
+// BENCH_table3.json, empty disables). A one-job window skips the search,
+// so window_decide_count is the number of passes whose window holds two
+// or more jobs: 0 at W=1.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

@@ -49,32 +49,43 @@ void MetricAwareScheduler::set_policy(const MetricAwarePolicy& policy) {
   config_.policy = policy;
 }
 
-std::vector<JobId> MetricAwareScheduler::ranked_queue(const SchedContext& ctx) const {
-  std::vector<QueuedJob> queued;
-  queued.reserve(ctx.queue().size());
+void MetricAwareScheduler::rank_queue(const SchedContext& ctx) {
+  queued_.clear();
   for (const JobId id : ctx.queue()) {
     const Job& j = ctx.job(id);
-    queued.push_back(QueuedJob{id, ctx.waited(id), j.walltime, j.submit});
+    queued_.push_back(QueuedJob{id, ctx.waited(id), j.walltime, j.submit});
   }
   ScoreParams params;
   params.balance_factor = config_.policy.balance_factor;
   params.literal_eq1 = config_.literal_eq1;
-  std::vector<JobId> ids;
-  ids.reserve(queued.size());
-  for (const auto& s : rank_jobs(queued, params)) ids.push_back(s.id);
-  return ids;
+  rank_jobs(queued_, params, scored_);
+  ranked_.clear();
+  for (const ScoredJob& s : scored_) ranked_.push_back(s.id);
 }
 
 int MetricAwareScheduler::window_size() const {
   return std::min(config_.policy.window_size, allocator_.max_window());
 }
 
-std::size_t MetricAwareScheduler::apply_window(
-    SchedContext& ctx, Plan& plan, const std::vector<const Job*>& window,
-    bool pin_all_reservations) {
+void MetricAwareScheduler::fill_window(const SchedContext& ctx, std::size_t begin,
+                                       std::size_t end) {
+  window_.clear();
+  for (std::size_t i = begin; i < end; ++i) window_.push_back(&ctx.job(ranked_[i]));
+}
+
+std::size_t MetricAwareScheduler::apply_window(SchedContext& ctx, Plan& plan,
+                                               bool pin_all_reservations) {
   const SimTime now = ctx.now();
-  const WindowDecision decision = allocator_.decide(plan, window, now);
-  stats_.permutations_tried += decision.permutations_tried;
+  // A one-job window has one permutation, and phases A and B below place
+  // its job before phase C would read a decision, so it skips the search
+  // (and its plan clone) and counts that permutation here.
+  WindowDecision decision;
+  if (window_.size() > 1) {
+    decision = allocator_.decide(plan, window_, now);
+    stats_.permutations_tried += decision.permutations_tried;
+  } else {
+    stats_.permutations_tried += window_.size();
+  }
 
   // Realize the decision with EASY's protection structure (the window
   // variant of phases 1-3, see sched/easy.cpp):
@@ -93,15 +104,15 @@ std::size_t MetricAwareScheduler::apply_window(
   //      shadows under EASY, hard commitments under conservative
   //      (`pin_all_reservations`).
   std::size_t started = 0;
-  std::vector<JobId> handled;
-  auto mark_handled = [&handled](JobId id) { handled.push_back(id); };
-  auto is_handled = [&handled](JobId id) {
-    return std::find(handled.begin(), handled.end(), id) != handled.end();
+  handled_.clear();
+  auto mark_handled = [this](JobId id) { handled_.push_back(id); };
+  auto is_handled = [this](JobId id) {
+    return std::find(handled_.begin(), handled_.end(), id) != handled_.end();
   };
 
   // Phase A.
   JobId pin_job = kInvalidJob;
-  for (const Job* j : window) {
+  for (const Job* j : window_) {
     if (!plan.fits_at(*j, now)) {
       pin_job = j->id;
       break;
@@ -158,49 +169,42 @@ void MetricAwareScheduler::schedule(SchedContext& ctx) {
   ++stats_.schedule_calls;
   if (ctx.queue().empty()) return;
 
-  const auto ranked = ranked_queue(ctx);
+  rank_queue(ctx);
   if (config_.backfill == BackfillMode::kEasy) {
-    schedule_easy(ctx, ranked);
+    schedule_easy(ctx);
   } else {
-    schedule_conservative(ctx, ranked);
+    schedule_conservative(ctx);
   }
 }
 
-void MetricAwareScheduler::schedule_easy(SchedContext& ctx,
-                                         const std::vector<JobId>& ranked) {
+void MetricAwareScheduler::schedule_easy(SchedContext& ctx) {
   auto plan = ctx.plan();
 
   // Step 5 on the first window only: its placements (including future
   // reservations) are the protected set.
   const auto window_len =
-      std::min<std::size_t>(ranked.size(), static_cast<std::size_t>(window_size()));
-  std::vector<const Job*> window;
-  window.reserve(window_len);
-  for (std::size_t i = 0; i < window_len; ++i) window.push_back(&ctx.job(ranked[i]));
-  apply_window(ctx, *plan, window, /*pin_all_reservations=*/false);
+      std::min<std::size_t>(ranked_.size(), static_cast<std::size_t>(window_size()));
+  fill_window(ctx, 0, window_len);
+  apply_window(ctx, *plan, /*pin_all_reservations=*/false);
 
   // Step 6: EASY-style backfill of the remaining queue in priority order —
   // start only where the plan (which carries the window's reservations)
   // has room right now.
   const std::size_t backfilled =
-      backfill(ctx, *plan, std::span(ranked).subspan(window_len));
+      backfill(ctx, *plan, std::span(ranked_).subspan(window_len));
   stats_.jobs_started += backfilled;
   stats_.jobs_backfilled += backfilled;
 }
 
-void MetricAwareScheduler::schedule_conservative(SchedContext& ctx,
-                                                 const std::vector<JobId>& ranked) {
+void MetricAwareScheduler::schedule_conservative(SchedContext& ctx) {
   auto plan = ctx.plan();
 
   // Step 5 window-by-window over the whole queue; every placement is
   // committed, so no reservation can be delayed (conservative semantics).
   const auto w = static_cast<std::size_t>(window_size());
-  for (std::size_t begin = 0; begin < ranked.size(); begin += w) {
-    const std::size_t end = std::min(begin + w, ranked.size());
-    std::vector<const Job*> window;
-    window.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) window.push_back(&ctx.job(ranked[i]));
-    apply_window(ctx, *plan, window, /*pin_all_reservations=*/true);
+  for (std::size_t begin = 0; begin < ranked_.size(); begin += w) {
+    fill_window(ctx, begin, std::min(begin + w, ranked_.size()));
+    apply_window(ctx, *plan, /*pin_all_reservations=*/true);
   }
 }
 

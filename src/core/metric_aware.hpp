@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/score.hpp"
 #include "core/window_alloc.hpp"
@@ -87,28 +88,37 @@ class MetricAwareScheduler : public Scheduler {
   [[nodiscard]] const MetricAwareStats& stats() const { return stats_; }
 
  private:
-  /// Rank the whole queue by balanced priority (steps 1-4).
-  [[nodiscard]] std::vector<JobId> ranked_queue(const SchedContext& ctx) const;
+  /// Rank the whole queue by balanced priority into ranked_ (steps 1-4).
+  void rank_queue(const SchedContext& ctx);
 
   /// The policy's window, clamped to what the allocator searches: a wider
   /// window's extra slots would get no placement, so they are left to
   /// backfill (EASY) or to the next window (conservative) instead.
   [[nodiscard]] int window_size() const;
 
-  void schedule_easy(SchedContext& ctx, const std::vector<JobId>& ranked);
-  void schedule_conservative(SchedContext& ctx, const std::vector<JobId>& ranked);
+  void schedule_easy(SchedContext& ctx);
+  void schedule_conservative(SchedContext& ctx);
 
-  /// Apply one window decision: start now-placements, commit the rest as
-  /// reservations into `plan` (hard for the highest-priority blocked job,
-  /// capacity-soft for the rest unless `pin_all_reservations`). Returns
-  /// jobs actually started.
-  std::size_t apply_window(SchedContext& ctx, Plan& plan,
-                           const std::vector<const Job*>& window,
-                           bool pin_all_reservations);
+  /// Fill window_ with the jobs of ranked_[begin, end).
+  void fill_window(const SchedContext& ctx, std::size_t begin, std::size_t end);
+
+  /// Apply one decision for window_: start now-placements, commit the rest
+  /// as reservations into `plan` (hard for the highest-priority blocked
+  /// job, capacity-soft for the rest unless `pin_all_reservations`).
+  /// Returns jobs actually started.
+  std::size_t apply_window(SchedContext& ctx, Plan& plan, bool pin_all_reservations);
 
   MetricAwareConfig config_;
   WindowAllocator allocator_;
   MetricAwareStats stats_;
+
+  // A pass's working lists, kept between passes so each pass reuses their
+  // storage. One thread drives a scheduler, so they need no lock.
+  std::vector<QueuedJob> queued_;
+  std::vector<ScoredJob> scored_;
+  std::vector<JobId> ranked_;         // the queue in priority order
+  std::vector<const Job*> window_;    // the window being applied
+  std::vector<JobId> handled_;        // window jobs phases A and B placed
 };
 
 }  // namespace amjs

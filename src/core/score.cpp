@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <utility>
 
 namespace amjs {
 
-std::vector<ScoredJob> score_jobs(const std::vector<QueuedJob>& queue,
-                                  const ScoreParams& params) {
+void score_jobs(std::span<const QueuedJob> queue, const ScoreParams& params,
+                std::vector<ScoredJob>& out) {
   assert(params.balance_factor >= 0.0 && params.balance_factor <= 1.0);
-  std::vector<ScoredJob> scored;
-  scored.reserve(queue.size());
-  if (queue.empty()) return scored;
+  out.clear();
+  if (queue.empty()) return;
 
   Duration wait_max = 0;
   Duration wall_max = queue.front().walltime;
@@ -26,6 +24,7 @@ std::vector<ScoredJob> score_jobs(const std::vector<QueuedJob>& queue,
   for (const auto& q : queue) {
     ScoredJob s;
     s.id = q.id;
+    s.submit = q.submit;
 
     if (wait_max <= 0) {
       s.s_wait = 0.0;  // paper: "If the maximum value is 0, S_w is set to 0"
@@ -47,29 +46,31 @@ std::vector<ScoredJob> score_jobs(const std::vector<QueuedJob>& queue,
 
     const double bf = params.balance_factor;
     s.s_priority = bf * s.s_wait + (1.0 - bf) * s.s_runtime;
-    scored.push_back(s);
+    out.push_back(s);
   }
-  return scored;
+}
+
+void rank_jobs(std::span<const QueuedJob> queue, const ScoreParams& params,
+               std::vector<ScoredJob>& out) {
+  score_jobs(queue, params, out);
+  std::sort(out.begin(), out.end(), [](const ScoredJob& a, const ScoredJob& b) {
+    if (a.s_priority != b.s_priority) return a.s_priority > b.s_priority;
+    return std::pair(a.submit, a.id) < std::pair(b.submit, b.id);
+  });
+}
+
+std::vector<ScoredJob> score_jobs(const std::vector<QueuedJob>& queue,
+                                  const ScoreParams& params) {
+  std::vector<ScoredJob> out;
+  score_jobs(queue, params, out);
+  return out;
 }
 
 std::vector<ScoredJob> rank_jobs(const std::vector<QueuedJob>& queue,
                                  const ScoreParams& params) {
-  const auto scored = score_jobs(queue, params);
-  // score_jobs keeps queue order, so scored[i] belongs to queue[i]: sort
-  // positions and read the (submit, id) tie-break — FCFS order among equal
-  // priorities — straight from the queue.
-  std::vector<std::size_t> order(scored.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (scored[a].s_priority != scored[b].s_priority)
-      return scored[a].s_priority > scored[b].s_priority;
-    return std::pair(queue[a].submit, queue[a].id) <
-           std::pair(queue[b].submit, queue[b].id);
-  });
-  std::vector<ScoredJob> ranked;
-  ranked.reserve(order.size());
-  for (const std::size_t i : order) ranked.push_back(scored[i]);
-  return ranked;
+  std::vector<ScoredJob> out;
+  rank_jobs(queue, params, out);
+  return out;
 }
 
 }  // namespace amjs

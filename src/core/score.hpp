@@ -17,6 +17,7 @@
 // bench.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "util/types.hpp"
@@ -43,19 +44,30 @@ struct QueuedJob {
 
 struct ScoredJob {
   JobId id = kInvalidJob;
+  SimTime submit = 0;       // the QueuedJob's, for the tie-break
   double s_wait = 0.0;      // S_w, eq. (1)
   double s_runtime = 0.0;   // S_r, eq. (2)
   double s_priority = 0.0;  // S_p, eq. (3)
 };
 
-/// Score every queued job. Degenerate cases follow the paper: S_w = 0 when
-/// the maximum wait is 0; S_r = 0 when the queue has a single job (or all
-/// walltimes are equal, where eq. (2) is 0/0).
+/// Score every queued job into `out`, in queue order. `out` is overwritten;
+/// a caller that keeps it from pass to pass reuses its storage. Degenerate
+/// cases follow the paper: S_w = 0 when the maximum wait is 0; S_r = 0 when
+/// the queue has a single job (or all walltimes are equal, where eq. (2) is
+/// 0/0).
+void score_jobs(std::span<const QueuedJob> queue, const ScoreParams& params,
+                std::vector<ScoredJob>& out);
+
+/// Score and sort into `out`, highest balanced priority first. Ties (e.g.
+/// BF=1 and equal waits) break by (submit, id) so BF=1 reduces exactly to
+/// FCFS. Queued ids are distinct, so that order is total: std::sort yields
+/// the one order a stable sort would, whatever the queue's order.
+void rank_jobs(std::span<const QueuedJob> queue, const ScoreParams& params,
+               std::vector<ScoredJob>& out);
+
+/// The same two, into a fresh vector.
 [[nodiscard]] std::vector<ScoredJob> score_jobs(const std::vector<QueuedJob>& queue,
                                                 const ScoreParams& params);
-
-/// Score and sort, highest balanced priority first. Ties (e.g. BF=1 and
-/// equal waits) break by (submit, id) so BF=1 reduces exactly to FCFS.
 [[nodiscard]] std::vector<ScoredJob> rank_jobs(const std::vector<QueuedJob>& queue,
                                                const ScoreParams& params);
 

@@ -46,7 +46,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"campaign.run", MetricKind::kTimer,
      "wall time of the whole campaign run_cells call"},
     {"core.permutations", MetricKind::kCounter,
-     "window permutations scored by WindowAllocator"},
+     "window permutations scored by WindowAllocator, for windows of two or more jobs"},
     {"core.search_floor_answers", MetricKind::kCounter,
      "window-search find_start calls whose answer was their floor"},
     {"core.search_nodes", MetricKind::kCounter,
@@ -54,7 +54,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"core.search_queries", MetricKind::kCounter,
      "find_start calls made by the window search (twin reuses excluded)"},
     {"core.window_decide", MetricKind::kTimer,
-     "wall time of one WindowAllocator decision"},
+     "wall time of one WindowAllocator decision, for a window of two or more jobs"},
     {"fairness.probes", MetricKind::kCounter,
      "jobs the fair-start oracle forked a run for (started, but not on arrival)"},
     {"fairness.segments", MetricKind::kCounter,

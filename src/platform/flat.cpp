@@ -1,5 +1,6 @@
 #include "platform/flat.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace amjs {
@@ -13,27 +14,22 @@ bool FlatMachine::can_start(const Job& job) const {
 bool FlatMachine::start(const Job& job, SimTime now, int /*placement*/) {
   // Nodes are interchangeable; placement hints carry no information here.
   if (!can_start(job)) return false;
-  assert(!allocs_.contains(job.id));
-  allocs_[job.id] =
-      RunningAlloc{job.id, job.nodes, now, now + job.walltime};
+  const auto at = std::ranges::lower_bound(allocs_, job.id, {}, &RunningAlloc::job);
+  assert(at == allocs_.end() || at->job != job.id);
+  allocs_.insert(at, RunningAlloc{job.id, job.nodes, now, now + job.walltime});
   busy_ += job.nodes;
   return true;
 }
 
 void FlatMachine::finish(JobId job, SimTime /*now*/) {
-  const auto it = allocs_.find(job);
-  assert(it != allocs_.end());
-  busy_ -= it->second.occupied;
+  const auto it = std::ranges::lower_bound(allocs_, job, {}, &RunningAlloc::job);
+  assert(it != allocs_.end() && it->job == job);
+  busy_ -= it->occupied;
   assert(busy_ >= 0);
   allocs_.erase(it);
 }
 
-std::vector<RunningAlloc> FlatMachine::running() const {
-  std::vector<RunningAlloc> out;
-  out.reserve(allocs_.size());
-  for (const auto& [id, alloc] : allocs_) out.push_back(alloc);
-  return out;
-}
+std::vector<RunningAlloc> FlatMachine::running() const { return allocs_; }
 
 std::unique_ptr<MachineState> FlatMachine::save_state() const {
   auto state = std::make_unique<FlatMachineState>();

@@ -6,7 +6,6 @@
 // sched/calendar/flat_calendar.hpp for the plan).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -33,14 +32,16 @@ class FlatMachine final : public Machine {
  private:
   NodeCount total_;
   NodeCount busy_ = 0;
-  std::map<JobId, RunningAlloc> allocs_;
+  /// Ascending job id: one block that start and finish edit in place and
+  /// save_state copies whole.
+  std::vector<RunningAlloc> allocs_;
 };
 
 /// Saved allocation state of a FlatMachine.
 struct FlatMachineState final : MachineState {
   NodeCount total = 0;  // topology check on restore
   NodeCount busy = 0;
-  std::map<JobId, RunningAlloc> allocs;
+  std::vector<RunningAlloc> allocs;  // ascending job id
 };
 
 }  // namespace amjs

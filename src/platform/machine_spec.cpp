@@ -6,6 +6,16 @@
 #include "util/fmt.hpp"
 
 namespace amjs {
+namespace {
+
+/// Are the allocations' jobs strictly ascending (so each appears once)?
+template <typename Alloc, typename JobOf>
+bool ascending_jobs(const std::vector<Alloc>& allocs, JobOf job_of) {
+  return std::ranges::adjacent_find(allocs, std::ranges::greater_equal{}, job_of) ==
+         allocs.end();
+}
+
+}  // namespace
 
 MachineSpec MachineSpec::flat(NodeCount nodes) {
   MachineSpec spec;
@@ -45,9 +55,7 @@ bool MachineSpec::accepts(const MachineState& state) const {
     case Kind::kFlat: {
       const auto* flat = dynamic_cast<const FlatMachineState*>(&state);
       return flat != nullptr && flat->total == nodes &&
-             std::ranges::all_of(flat->allocs, [](const auto& entry) {
-               return entry.first == entry.second.job;
-             });
+             ascending_jobs(flat->allocs, &RunningAlloc::job);
     }
     case Kind::kPartition: {
       const auto* part = dynamic_cast<const PartitionMachineState*>(&state);
@@ -58,10 +66,12 @@ bool MachineSpec::accepts(const MachineState& state) const {
       }
       const auto count =
           static_cast<int>(PartitionMachine(partition).partitions().size());
-      return std::ranges::all_of(part->allocs, [count](const auto& entry) {
-        return entry.first == entry.second.alloc.job &&
-               entry.second.partition >= 0 && entry.second.partition < count;
-      });
+      using LiveAlloc = PartitionMachine::LiveAlloc;
+      return ascending_jobs(part->allocs,
+                            [](const LiveAlloc& live) { return live.alloc.job; }) &&
+             std::ranges::all_of(part->allocs, [count](const LiveAlloc& live) {
+               return live.partition >= 0 && live.partition < count;
+             });
     }
   }
   return false;

@@ -33,8 +33,9 @@ struct MachineSpec {
   [[nodiscard]] bool valid() const;
 
   /// True when `state` was saved from a valid machine of this model and
-  /// topology, with each allocation filed under its own job and on one of
-  /// its partitions, so a fresh machine's restore_state may take it.
+  /// topology, with its allocations in strictly ascending job order (each
+  /// job once) and on the machine's partitions, so a fresh machine's
+  /// restore_state may take it.
   [[nodiscard]] bool accepts(const MachineState& state) const;
 
   /// A fresh machine of this model (empty allocation state).

@@ -107,6 +107,15 @@ void PartitionMachine::build_partitions() {
     }
   }
 #endif
+  // tier_of's table: a job spanning k leaves lands in the first tier of at
+  // least k leaves (a job of no nodes, k = 0, in the smallest).
+  assert(tiers_.size() <= 256);
+  tier_by_leaves_.resize(static_cast<std::size_t>(total_leaves) + 1);
+  std::size_t tier = 0;
+  for (std::size_t k = 0; k < tier_by_leaves_.size(); ++k) {
+    while (tiers_[tier] < static_cast<NodeCount>(k) * config_.leaf_nodes) ++tier;
+    tier_by_leaves_[k] = static_cast<std::uint8_t>(tier);
+  }
   build_conflicts();
 }
 
@@ -139,11 +148,10 @@ bool PartitionMachine::fits(const Job& job) const {
   return job.nodes <= total_nodes();
 }
 
-std::size_t PartitionMachine::tier_of(const Job& job) const {
-  assert(fits(job));
-  const auto it = std::lower_bound(tiers_.begin(), tiers_.end(), job.nodes);
-  assert(it != tiers_.end());
-  return static_cast<std::size_t>(it - tiers_.begin());
+const PartitionMachine::LiveAlloc* PartitionMachine::running_alloc(JobId job) const {
+  const auto it = std::ranges::lower_bound(
+      allocs_, job, {}, [](const LiveAlloc& live) { return live.alloc.job; });
+  return it != allocs_.end() && it->alloc.job == job ? &*it : nullptr;
 }
 
 NodeCount PartitionMachine::occupancy(const Job& job) const {
@@ -201,30 +209,31 @@ bool PartitionMachine::start(const Job& job, SimTime now, int placement) {
   }
   if (idx < 0) idx = pick_partition(job);
   if (idx < 0) return false;
-  assert(!allocs_.contains(job.id));
+  const auto at = std::ranges::lower_bound(
+      allocs_, job.id, {}, [](const LiveAlloc& live) { return live.alloc.job; });
+  assert(at == allocs_.end() || at->alloc.job != job.id);
   const auto& mask = part_masks_[static_cast<std::size_t>(idx)];
   busy_mask_ |= mask;
   const NodeCount occ = parts_[static_cast<std::size_t>(idx)].size;
   busy_nodes_ += occ;
-  allocs_[job.id] = LiveAlloc{
-      RunningAlloc{job.id, occ, now, now + job.walltime}, idx};
+  allocs_.insert(at, LiveAlloc{RunningAlloc{job.id, occ, now, now + job.walltime}, idx});
   return true;
 }
 
 void PartitionMachine::finish(JobId job, SimTime /*now*/) {
-  const auto it = allocs_.find(job);
-  assert(it != allocs_.end());
-  const auto& mask = part_masks_[static_cast<std::size_t>(it->second.partition)];
+  const LiveAlloc* live = running_alloc(job);
+  assert(live != nullptr);
+  const auto& mask = part_masks_[static_cast<std::size_t>(live->partition)];
   busy_mask_ &= ~mask;
-  busy_nodes_ -= it->second.alloc.occupied;
+  busy_nodes_ -= live->alloc.occupied;
   assert(busy_nodes_ >= 0);
-  allocs_.erase(it);
+  allocs_.erase(allocs_.begin() + (live - allocs_.data()));
 }
 
 std::vector<RunningAlloc> PartitionMachine::running() const {
   std::vector<RunningAlloc> out;
   out.reserve(allocs_.size());
-  for (const auto& [id, live] : allocs_) out.push_back(live.alloc);
+  for (const LiveAlloc& live : allocs_) out.push_back(live.alloc);
   return out;
 }
 

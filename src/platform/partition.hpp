@@ -16,10 +16,11 @@
 //     approximation of Intrepid's actual wiring closures.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <bitset>
+#include <cassert>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,8 +98,14 @@ class PartitionMachine final : public Machine {
   void restore_state(const MachineState& state) override;
   void reset() override;
 
-  /// Position in tiers() of the job's occupancy tier.
-  [[nodiscard]] std::size_t tier_of(const Job& job) const;
+  /// Position in tiers() of the job's occupancy tier: one lookup in a
+  /// table indexed by the job's leaf count, ceil(nodes / leaf_nodes).
+  [[nodiscard]] std::size_t tier_of(const Job& job) const {
+    assert(fits(job));
+    const NodeCount nodes = std::max<NodeCount>(job.nodes, 0);
+    return tier_by_leaves_[static_cast<std::size_t>(
+        (nodes + config_.leaf_nodes - 1) / config_.leaf_nodes)];
+  }
 
   /// Indices into partitions() of size tiers()[tier], ascending.
   [[nodiscard]] const std::vector<int>& tier_partitions(std::size_t tier) const {
@@ -128,11 +135,14 @@ class PartitionMachine final : public Machine {
     int partition = -1;
   };
 
-  /// Live allocations keyed by job (the partition calendar seeds its
-  /// holds from these).
-  [[nodiscard]] const std::map<JobId, LiveAlloc>& running_allocs() const {
+  /// Live allocations in ascending job id order (the partition calendar
+  /// seeds its holds from these).
+  [[nodiscard]] const std::vector<LiveAlloc>& running_allocs() const {
     return allocs_;
   }
+
+  /// The live allocation of `job`, or nullptr when it holds none.
+  [[nodiscard]] const LiveAlloc* running_alloc(JobId job) const;
 
  private:
 
@@ -153,9 +163,14 @@ class PartitionMachine final : public Machine {
   std::vector<LeafMask> part_masks_;
   /// conflicts_[t * parts_.size() + p]: tier_conflicts(p, t).
   std::vector<PositionSet> conflicts_;
+  /// tier_by_leaves_[k]: the tier of a job spanning k leaves, k in
+  /// [0, total leaves].
+  std::vector<std::uint8_t> tier_by_leaves_;
   LeafMask busy_mask_;
   NodeCount busy_nodes_ = 0;
-  std::map<JobId, LiveAlloc> allocs_;
+  /// Ascending job id: one block that start and finish edit in place and
+  /// save_state copies whole.
+  std::vector<LiveAlloc> allocs_;
 };
 
 /// Saved allocation state of a PartitionMachine.
@@ -163,7 +178,7 @@ struct PartitionMachineState final : MachineState {
   PartitionConfig config;  // topology check on restore
   PartitionMachine::LeafMask busy_mask;
   NodeCount busy_nodes = 0;
-  std::map<JobId, PartitionMachine::LiveAlloc> allocs;
+  std::vector<PartitionMachine::LiveAlloc> allocs;  // ascending job id
 };
 
 }  // namespace amjs

@@ -14,12 +14,13 @@ void PartitionCalendar::resync() {
 
 void PartitionCalendar::rebuild(SimTime now) {
   holds_.clear();
-  for (const auto& [id, live] : machine_->running_allocs()) {
+  for (const auto& live : machine_->running_allocs()) {
     // Jobs at/after their predicted end contribute nothing (the simulator
     // resolves them at this instant).
     const SimTime end = std::max(live.alloc.predicted_end, now);
     if (end > now) {
-      holds_.push_back(Hold{id, now, end, live.partition, live.alloc.occupied});
+      holds_.push_back(
+          Hold{live.alloc.job, now, end, live.partition, live.alloc.occupied});
     }
   }
   std::stable_sort(holds_.begin(), holds_.end(),
@@ -109,18 +110,14 @@ const PartitionCalendar::TierTable& PartitionCalendar::tier_table(std::size_t ti
 
 void PartitionCalendar::on_job_start(const Job& job, SimTime now) {
   if (!synced_) return;  // next plan() rebuilds from the machine anyway
-  const auto it = machine_->running_allocs().find(job.id);
-  assert(it != machine_->running_allocs().end() &&
-         "start delta for a job the machine does not hold");
-  if (it == machine_->running_allocs().end()) {
+  const auto* live = machine_->running_alloc(job.id);
+  assert(live != nullptr && "start delta for a job the machine does not hold");
+  if (live == nullptr) {
     resync();
     return;
   }
-  Delta d{Delta::Kind::kStart, job.id, now,
-          it->second.alloc.predicted_end,
-          it->second.partition,
-          it->second.alloc.occupied};
-  pending_.push_back(d);
+  pending_.push_back({Delta::Kind::kStart, job.id, now, live->alloc.predicted_end,
+                      live->partition, live->alloc.occupied});
 }
 
 void PartitionCalendar::on_job_finish(JobId job, SimTime now) {

@@ -1,5 +1,6 @@
 #include "snapshot_io/state_codec.hpp"
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -64,6 +65,23 @@ Result<PartitionMachine::LeafMask> read_leaf_mask(ByteReader& r) {
   return mask;
 }
 
+/// The encoders write allocations in ascending job order, each under its
+/// own job, so a decoded table is sorted by construction. An entry keyed
+/// by another job than it holds, or whose job does not follow the previous
+/// entry's (a repeat, or one out of order), is refused by name.
+Status check_alloc_entry(std::optional<JobId> previous, JobId key, JobId held) {
+  if (key != held) {
+    return Error{amjs::format("machine allocation keyed by job {} holds job {}", key, held)};
+  }
+  if (previous && key == *previous) {
+    return Error{amjs::format("machine allocations name job {} twice", key)};
+  }
+  if (previous && key < *previous) {
+    return Error{amjs::format("machine allocation of job {} follows job {}", key, *previous)};
+  }
+  return Status::success();
+}
+
 // --- Machine state codecs. ---------------------------------------------
 
 Status encode_flat(ByteWriter& w, const MachineState& state) {
@@ -71,8 +89,8 @@ Status encode_flat(ByteWriter& w, const MachineState& state) {
   w.i64(s.total);
   w.i64(s.busy);
   w.u64(s.allocs.size());
-  for (const auto& [job, alloc] : s.allocs) {
-    w.i64(job);
+  for (const RunningAlloc& alloc : s.allocs) {
+    w.i64(alloc.job);
     write_alloc(w, alloc);
   }
   return Status::success();
@@ -93,7 +111,14 @@ Result<std::unique_ptr<MachineState>> decode_flat(ByteReader& r) {
     if (!job) return job.error();
     auto alloc = read_alloc(r);
     if (!alloc) return alloc.error();
-    s->allocs.emplace(static_cast<JobId>(job.value()), alloc.value());
+    const auto previous =
+        s->allocs.empty() ? std::nullopt : std::optional(s->allocs.back().job);
+    if (Status ok = check_alloc_entry(previous, static_cast<JobId>(job.value()),
+                                      alloc.value().job);
+        !ok.ok()) {
+      return ok.error();
+    }
+    s->allocs.push_back(alloc.value());
   }
   return {std::move(s)};
 }
@@ -106,8 +131,8 @@ Status encode_partition(ByteWriter& w, const MachineState& state) {
   write_leaf_mask(w, s.busy_mask);
   w.i64(s.busy_nodes);
   w.u64(s.allocs.size());
-  for (const auto& [job, live] : s.allocs) {
-    w.i64(job);
+  for (const auto& live : s.allocs) {
+    w.i64(live.alloc.job);
     write_alloc(w, live.alloc);
     w.i64(live.partition);
   }
@@ -140,10 +165,15 @@ Result<std::unique_ptr<MachineState>> decode_partition(ByteReader& r) {
     if (!alloc) return alloc.error();
     auto partition = r.i64();
     if (!partition) return partition.error();
-    s->allocs.emplace(
-        static_cast<JobId>(job.value()),
-        PartitionMachine::LiveAlloc{alloc.value(),
-                                    static_cast<int>(partition.value())});
+    const auto previous =
+        s->allocs.empty() ? std::nullopt : std::optional(s->allocs.back().alloc.job);
+    if (Status ok = check_alloc_entry(previous, static_cast<JobId>(job.value()),
+                                      alloc.value().job);
+        !ok.ok()) {
+      return ok.error();
+    }
+    s->allocs.push_back(PartitionMachine::LiveAlloc{
+        alloc.value(), static_cast<int>(partition.value())});
   }
   return {std::move(s)};
 }

@@ -212,6 +212,35 @@ TEST(MetricAwareTest, BackfillSkipsProbesAnEarlierRefusalDecides) {
   }
 }
 
+TEST(MetricAwareTest, OneJobWindowsSkipTheSearch) {
+  // BF=1/W=1: every window holds one job, which phases A and B place
+  // before phase C would read a decision, so no window is searched. Each
+  // still counts its one permutation: permutations_tried is pinned to the
+  // value the run counted when every window went through the search.
+  std::vector<Job> jobs;
+  for (int i = 0; i < 40; ++i) {
+    jobs.push_back(make_job(i * 300, 1200 + (i % 5) * 900, 20 + (i % 4) * 15,
+                            1800 + (i % 5) * 900));
+  }
+  const auto trace = trace_of(std::move(jobs));
+  const bool was_enabled = obs::Registry::enabled();
+  obs::Registry::set_enabled(true);
+  obs::Registry::global().reset_values();
+  FlatMachine m(100);
+  MetricAwareScheduler s(config_of(1.0, 1));
+  Simulator sim(m, s);
+  const auto result = sim.run(trace);
+  const auto decides = obs::Registry::global().timer("core.window_decide").stats().count;
+  const auto permutations = obs::Registry::global().counter("core.permutations").value();
+  obs::Registry::global().reset_values();
+  obs::Registry::set_enabled(was_enabled);
+
+  EXPECT_EQ(result.finished_count(), 40u);
+  EXPECT_EQ(decides, 0u);
+  EXPECT_EQ(permutations, 0u);
+  EXPECT_EQ(s.stats().permutations_tried, 90u);
+}
+
 class WindowPastSearchCapTest : public ::testing::TestWithParam<BackfillMode> {};
 
 TEST_P(WindowPastSearchCapTest, EveryJobOfAWideWindowIsScheduled) {

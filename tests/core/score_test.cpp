@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace amjs {
 namespace {
 
@@ -137,6 +143,50 @@ TEST_P(BalanceMonotonicityTest, ShortJobNeverLosesRankAsBfDrops) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BalanceMonotonicityTest,
                          ::testing::Values(0.25, 0.5, 0.75, 1.0));
+
+TEST(RankTest, MatchesStableSortReference) {
+  // rank_jobs sorts with std::sort into a reused buffer. Its comparator is
+  // total over distinct ids, so it must give the order of a stable sort by
+  // priority alone of the queue in FCFS (submit, id) order. Random queues
+  // of 0-64 jobs draw their waits, walltimes and submits from a few values
+  // each, so priorities and submits tie often.
+  Rng rng(2012);
+  std::vector<ScoredJob> ranked;  // reused across queues, as by a scheduler
+  for (int round = 0; round < 400; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 64));
+    std::vector<JobId> ids(n);
+    for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<JobId>(i);
+    rng.shuffle(ids);
+    std::vector<QueuedJob> queue;
+    for (const JobId id : ids) {
+      queue.push_back(qj(id, 600 * rng.uniform_int(0, 3), 1800 * rng.uniform_int(1, 3),
+                         300 * rng.uniform_int(0, 4)));
+    }
+    for (const double bf : {0.0, 0.25, 0.5, 1.0}) {
+      for (const bool literal : {false, true}) {
+        const ScoreParams params{bf, literal};
+        std::vector<QueuedJob> fcfs = queue;
+        std::sort(fcfs.begin(), fcfs.end(), [](const QueuedJob& a, const QueuedJob& b) {
+          return std::pair(a.submit, a.id) < std::pair(b.submit, b.id);
+        });
+        auto reference = score_jobs(fcfs, params);
+        std::stable_sort(reference.begin(), reference.end(),
+                         [](const ScoredJob& a, const ScoredJob& b) {
+                           return a.s_priority > b.s_priority;
+                         });
+        rank_jobs(queue, params, ranked);
+        ASSERT_EQ(ranked.size(), reference.size());
+        for (std::size_t i = 0; i < ranked.size(); ++i) {
+          ASSERT_EQ(ranked[i].id, reference[i].id)
+              << "round " << round << " BF " << bf << " literal " << literal
+              << " rank " << i;
+          EXPECT_EQ(ranked[i].s_priority, reference[i].s_priority);
+          EXPECT_EQ(ranked[i].submit, reference[i].submit);
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace amjs

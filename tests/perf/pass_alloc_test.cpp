@@ -1,0 +1,88 @@
+// Allocation guard for the scheduler pass. This binary replaces the global
+// operator new and delete with counting ones (counting_new.cpp), runs the
+// two fixed-BF W=1 rows of Table II on a 2-day Intrepid trace, and bounds
+// the mean number of heap allocations inside one scheduler pass. A pass reuses its
+// ranking and window lists and the machines edit their allocation tables
+// in place, so what remains per pass is the plan view and its overlays;
+// a change that allocates per job or per probe again fails here.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+
+#include "core/metric_aware.hpp"
+#include "perf/counting_new.hpp"
+#include "platform/partition.hpp"
+#include "sim/simulator.hpp"
+#include "workload/synthetic.hpp"
+
+namespace amjs {
+namespace {
+
+/// Mean allocations per pass allowed: this trace measured 3.6 (BF=1) and
+/// 4.3 (BF=0.5) per pass, against 14.5 and 16.7 when ranking, window
+/// decisions and the machines' allocation maps still allocated per pass.
+constexpr double kBound = 6.0;
+
+/// Forwards to a MetricAwareScheduler and counts the allocations made
+/// inside its passes.
+class CountingScheduler final : public Scheduler {
+ public:
+  explicit CountingScheduler(MetricAwareConfig config) : inner_(std::move(config)) {}
+
+  void schedule(SchedContext& ctx) override {
+    const std::uint64_t before = test_support::allocation_count();
+    inner_.schedule(ctx);
+    allocations_ += test_support::allocation_count() - before;
+    ++passes_;
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  void reset() override { inner_.reset(); }
+
+  [[nodiscard]] double per_pass() const {
+    return static_cast<double>(allocations_) / static_cast<double>(passes_);
+  }
+  [[nodiscard]] std::uint64_t passes() const { return passes_; }
+
+ private:
+  MetricAwareScheduler inner_;
+  std::uint64_t allocations_ = 0;
+  std::uint64_t passes_ = 0;
+};
+
+/// The 2-day Intrepid trace of the window7 benchmark recipe, unperturbed.
+JobTrace intrepid_two_days() {
+  SyntheticConfig cfg;
+  cfg.seed = 2012;
+  cfg.horizon = days(2);
+  cfg.base_rate_per_hour = 8.0;
+  cfg.diurnal_amplitude = 0.35;
+  cfg.runtime_log_sigma = 1.3;
+  cfg.bursts.clear();
+  return SyntheticTraceBuilder(cfg).build();
+}
+
+class PassAllocationTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(PassAllocationTest, MeanAllocationsPerPassStayBounded) {
+  const JobTrace trace = intrepid_two_days();
+  MetricAwareConfig config;
+  config.policy = {GetParam(), 1};
+  CountingScheduler scheduler(config);
+  PartitionMachine machine;
+  Simulator sim(machine, scheduler);
+  const SimResult result = sim.run(trace);
+  ASSERT_EQ(result.finished_count(), trace.size());
+  ASSERT_GT(scheduler.passes(), 500u);
+  RecordProperty("allocations_per_pass", std::to_string(scheduler.per_pass()));
+  EXPECT_LE(scheduler.per_pass(), kBound) << scheduler.passes() << " passes";
+}
+
+INSTANTIATE_TEST_SUITE_P(W1Rows, PassAllocationTest, ::testing::Values(1.0, 0.5),
+                         [](const ::testing::TestParamInfo<double>& bf) {
+                           return bf.param == 1.0 ? std::string("Bf1") : std::string("Bf05");
+                         });
+
+}  // namespace
+}  // namespace amjs

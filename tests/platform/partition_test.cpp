@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "sched/calendar/calendar.hpp"
@@ -247,6 +248,25 @@ TEST(PartitionMachineTest, TierConflictsMatchLeafMasks) {
       }
     }
     EXPECT_EQ(lone_partial_tiers, cfg.rows == 2 ? 0 : 1) << "rows " << cfg.rows;
+  }
+}
+
+TEST(PartitionMachineTest, TierOfMatchesLowerBound) {
+  // tier_of reads a table indexed by leaf count; it must name the first
+  // tier at least as large as the request, for every request the machine
+  // fits, on the topologies of TierConflictsMatchLeafMasks.
+  const PartitionConfig intrepid;
+  for (const PartitionConfig& cfg :
+       {intrepid, PartitionConfig{512, 4, 3}, PartitionConfig{512, 8, 2}}) {
+    PartitionMachine m(cfg);
+    const auto& tiers = m.tiers();
+    for (NodeCount nodes = 1; nodes <= m.total_nodes(); ++nodes) {
+      const auto expected = static_cast<std::size_t>(
+          std::lower_bound(tiers.begin(), tiers.end(), nodes) - tiers.begin());
+      ASSERT_EQ(m.tier_of(make_job(0, nodes, 60)), expected)
+          << "rows " << cfg.rows << " row_leaves " << cfg.row_leaves << " nodes "
+          << nodes;
+    }
   }
 }
 

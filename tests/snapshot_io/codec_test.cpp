@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/adaptive.hpp"
@@ -22,6 +25,7 @@
 #include "sim/snapshot.hpp"
 #include "snapshot_io/checkpoint.hpp"
 #include "twin/twin.hpp"
+#include "util/fmt.hpp"
 
 namespace amjs {
 namespace {
@@ -237,6 +241,64 @@ TEST(SnapshotCodec, SeedsTwinEngineIdentically) {
   EXPECT_EQ(TwinEngine::best_index(live), TwinEngine::best_index(from_disk));
 }
 
+// --- Byte pin. ---------------------------------------------------------
+
+/// 64-bit FNV-1a.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// The metric-check snapshot at `check_index` of one contended_trace() run.
+SimSnapshot snapshot_at(Machine& machine, Scheduler& scheduler, std::size_t check_index) {
+  SimSnapshot snapshot;
+  SimConfig config;
+  config.snapshot_sink = [&](const SimSnapshot& s) {
+    if (s.check_index == check_index) snapshot = s;
+  };
+  (void)Simulator(machine, scheduler, config).run(contended_trace());
+  EXPECT_TRUE(snapshot.valid());
+  return snapshot;
+}
+
+/// The flat-machine snapshot of the byte pin and the corruption tests.
+SimSnapshot flat_snapshot() {
+  FlatMachine machine(100);
+  MetricAwareScheduler scheduler(MetricAwareConfig{{0.5, 2}});
+  return snapshot_at(machine, scheduler, 4);
+}
+
+/// The partition-machine snapshot of the byte pin and the corruption tests.
+SimSnapshot partition_snapshot() {
+  PartitionMachine machine(small_partition_config());
+  AdaptiveScheduler scheduler(MetricAwareConfig{},
+                              {AdaptiveScheme::bf_queue_depth(100.0)});
+  return snapshot_at(machine, scheduler, 3);
+}
+
+TEST(SnapshotCodecPin, MetricCheckSnapshotBytes) {
+  // Digests of two fixed runs' container bytes, one per machine model.
+  // The codec writes each allocation table in job order, whatever holds
+  // it in memory, so a change to the machines' storage moves none of these
+  // bytes; only a format change may, and it bumps the version.
+  const SimSnapshot flat = flat_snapshot();
+  const SimSnapshot partition = partition_snapshot();
+  ASSERT_GE(dynamic_cast<const FlatMachineState&>(*flat.machine).allocs.size(), 2u);
+  ASSERT_GE(dynamic_cast<const PartitionMachineState&>(*partition.machine).allocs.size(), 2u);
+
+  EXPECT_EQ(snapshot_io::kSnapshotFormatVersion, 1u);
+  const auto flat_bytes = snapshot_io::write_snapshot(flat);
+  ASSERT_TRUE(flat_bytes.ok());
+  EXPECT_EQ(fnv1a(flat_bytes.value()), 0x79207cb5cf98c1aeULL);
+  const auto partition_bytes = snapshot_io::write_snapshot(partition);
+  ASSERT_TRUE(partition_bytes.ok());
+  EXPECT_EQ(fnv1a(partition_bytes.value()), 0x0dd02da5db5845b9ULL);
+}
+
 // --- Corruption rejection. ---------------------------------------------
 
 /// A small but fully populated snapshot.
@@ -320,6 +382,49 @@ TEST(SnapshotCodecCorruption, NowPastTheWireBoundRejected) {
   const auto bytes = snapshot_io::write_snapshot(snapshot);
   ASSERT_TRUE(bytes.ok());
   EXPECT_TRUE(snapshot_io::read_snapshot(bytes.value()).ok());
+}
+
+/// `snapshot` with its machine allocations edited by `edit`, round-tripped
+/// through the codec.
+template <typename State, typename Edit>
+Result<SimSnapshot> reread_with_allocs(SimSnapshot snapshot, const Edit& edit) {
+  auto machine = std::make_shared<State>(dynamic_cast<const State&>(*snapshot.machine));
+  edit(machine->allocs);
+  snapshot.machine = machine;
+  const auto bytes = snapshot_io::write_snapshot(snapshot);
+  EXPECT_TRUE(bytes.ok());
+  return snapshot_io::read_snapshot(bytes.value());
+}
+
+TEST(SnapshotCodecCorruption, RepeatedOrDisorderedAllocationRejected) {
+  // A machine holds each job's allocation once, in job order: a second
+  // entry for a job, or an entry out of order, must fail the decode by
+  // the job's name, on both machine models.
+  const auto expect_refused = [](const Result<SimSnapshot>& r, JobId job,
+                                 const std::string& what) {
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_NE(r.error().message.find(amjs::format("job {}", job)), std::string::npos)
+        << what << ": " << r.error().message;
+  };
+  const auto repeat_first = [](auto& allocs) { allocs.insert(allocs.begin() + 1, allocs[0]); };
+  const auto swap_first = [](auto& allocs) { std::swap(allocs[0], allocs[1]); };
+
+  const SimSnapshot flat = flat_snapshot();
+  const auto& flat_allocs = dynamic_cast<const FlatMachineState&>(*flat.machine).allocs;
+  ASSERT_GE(flat_allocs.size(), 2u);
+  expect_refused(reread_with_allocs<FlatMachineState>(flat, repeat_first),
+                 flat_allocs[0].job, "flat repeat");
+  expect_refused(reread_with_allocs<FlatMachineState>(flat, swap_first),
+                 flat_allocs[0].job, "flat order");
+
+  const SimSnapshot partition = partition_snapshot();
+  const auto& partition_allocs =
+      dynamic_cast<const PartitionMachineState&>(*partition.machine).allocs;
+  ASSERT_GE(partition_allocs.size(), 2u);
+  expect_refused(reread_with_allocs<PartitionMachineState>(partition, repeat_first),
+                 partition_allocs[0].alloc.job, "partition repeat");
+  expect_refused(reread_with_allocs<PartitionMachineState>(partition, swap_first),
+                 partition_allocs[0].alloc.job, "partition order");
 }
 
 TEST(SnapshotCodecCorruption, TrailingGarbageRejected) {

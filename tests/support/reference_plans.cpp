@@ -138,8 +138,7 @@ void FlatPlan::occupy(SimTime from, SimTime to, NodeCount nodes) {
 
 PartitionPlan::PartitionPlan(const PartitionMachine& machine, SimTime now)
     : machine_(&machine), origin_(now) {
-  for (const auto& [id, live] : machine.running_allocs()) {
-    (void)id;
+  for (const auto& live : machine.running_allocs()) {
     const SimTime end = std::max(live.alloc.predicted_end, now);
     if (end > now) {
       pinned_.push_back({now, end, machine.partition_mask(live.partition)});

@@ -291,7 +291,7 @@ TEST(TwinsvcFrame, SnapshotThatDoesNotFitItsTraceOrMachineRejected) {
   misfits[2].snapshot.queue.push_back(job);
   auto machine = std::make_shared<FlatMachineState>(
       dynamic_cast<const FlatMachineState&>(*snapshot.machine));
-  machine->allocs.erase(job);
+  std::erase_if(machine->allocs, [job](const RunningAlloc& alloc) { return alloc.job == job; });
   misfits[3].snapshot.machine = machine;
   misfits[4].snapshot.events.push(snapshot.now + 60, EventType::kJobEnd, job);
   for (std::size_t i = 0; i < misfits.size(); ++i) {
