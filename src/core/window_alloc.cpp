@@ -179,10 +179,10 @@ Objective place_all(Plan& plan, const std::vector<const Job*>& window,
 //   * parent-start floors — a job's start at the parent is no later than
 //     its start here, so it is a safe query floor that skips the
 //     candidates the parent's scan already rejected;
-//   * same-shape symmetry — plans read only a job's nodes and walltime
-//     (plus its id as a memo key), so jobs of equal shape are placed in
-//     priority order only; the other orders repeat the same plan and
-//     objective, and the priority-ordered one is reached first;
+//   * same-shape symmetry — plans read only a job's nodes and walltime,
+//     so jobs of equal shape are placed in priority order only; the other
+//     orders repeat the same plan and objective, and the priority-ordered
+//     one is reached first;
 //   * transpositions — a plan's answers depend only on the multiset of
 //     its hard commitments, so a node whose placed slots, starts and
 //     placements match a node this search already expanded has the same

@@ -20,7 +20,7 @@ namespace {
 constexpr CatalogEntry kCatalog[] = {
     {"calendar.tier_tables", MetricKind::kCounter,
      "partition-calendar per-tier blocked-set tables built (at most one per tier "
-     "and epoch)"},
+     "and timeline build)"},
     {"calendar.timeline_builds", MetricKind::kCounter,
      "partition-calendar timelines rebuilt after start/finish deltas"},
     {"campaign.cells", MetricKind::kCounter,

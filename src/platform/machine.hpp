@@ -80,11 +80,11 @@ class Plan {
   ///       every free partition containing a free partition of each
   ///       smaller tier (aligned power-of-two groups in a row, whole rows
   ///       across rows, the full machine).
-  /// The calendars' find_start memos rest on (b); the window search's
-  /// whole-node bound rests on (a), its parent-start query floors on (a)
-  /// and (b) together, and its transposition cut on (c). The backfill
-  /// probe filter (sched/backfill.hpp) rests on (a) and (d): a refusal
-  /// stays a refusal for every dominating job until the pass ends.
+  /// The window search's whole-node bound rests on (a), its parent-start
+  /// query floors on (a) and (b) together, and its transposition cut on
+  /// (c). The backfill probe filter (sched/backfill.hpp) rests on (a) and
+  /// (d): a refusal stays a refusal for every dominating job until the
+  /// pass ends.
   [[nodiscard]] virtual SimTime find_start(const Job& job, SimTime earliest) const = 0;
 
   /// Could `job` run for its full walltime starting exactly at `t`?

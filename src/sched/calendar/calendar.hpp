@@ -12,10 +12,8 @@
 //     overlay; the shared base profile is never touched by a view, so the
 //     window search walks its permutation tree by commit + undo on one
 //     view, and Plan::clone() copies only the overlay;
-//   * find_start results against the bare base profile are memoized per
-//     (job, earliest-range) in a FindStartMemo and invalidated by the
-//     calendar epoch, which bumps whenever an applied delta changes the
-//     profile.
+//   * every find_start is the view's own scan of base plus overlay; no
+//     answer is kept from one query to the next.
 //
 // Equivalence contract: a calendar view must answer find_start / fits_at /
 // commit byte-identically to a plan rebuilt from scratch from the live
@@ -24,8 +22,6 @@
 // differential suites in tests/sched hold both side by side.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <memory>
 
 #include "platform/machine.hpp"
@@ -58,45 +54,6 @@ class PlanProvider {
   /// derived state and pending deltas; the next plan() rebuilds from the
   /// live machine.
   virtual void resync() {}
-
-  /// Profile epoch: bumps whenever applied deltas changed the base
-  /// profile. Memoized query results are valid within one epoch only.
-  [[nodiscard]] virtual std::uint64_t epoch() const { return 0; }
-};
-
-/// A calendar's find_start memo for views with no commitments of their
-/// own. A start s found from earliest_lo answers any later query for the
-/// same job shape with earliest in [earliest_lo, s]: nothing in
-/// [earliest_lo, s) is feasible, so the least feasible start at or after
-/// such an earliest is still s (property (b) of the Plan contract). Valid
-/// within one calendar epoch; the owner clears it at every epoch bump.
-class FindStartMemo {
- public:
-  /// The memoized start for `job` from `earliest`, computing it with
-  /// `scan()` (and remembering it) when no entry covers `earliest`.
-  template <typename Scan>
-  [[nodiscard]] SimTime find_start(const Job& job, SimTime earliest, Scan&& scan) {
-    const auto it = entries_.find(job.id);
-    if (it != entries_.end() && it->second.nodes == job.nodes &&
-        it->second.walltime == job.walltime && earliest >= it->second.earliest_lo &&
-        earliest <= it->second.start) {
-      return it->second.start;
-    }
-    const SimTime start = scan();
-    entries_[job.id] = Entry{earliest, start, job.nodes, job.walltime};
-    return start;
-  }
-
-  void clear() { entries_.clear(); }
-
- private:
-  struct Entry {
-    SimTime earliest_lo;
-    SimTime start;
-    NodeCount nodes;
-    Duration walltime;
-  };
-  std::map<JobId, Entry> entries_;
 };
 
 /// The incremental calendar of `machine`'s concrete model (FlatCalendar,

@@ -49,8 +49,6 @@ void FlatCalendar::rebuild(SimTime now) {
   }
   pending_.clear();
   synced_ = true;
-  ++epoch_;
-  memo_.clear();
 }
 
 void FlatCalendar::on_job_start(const Job& job, SimTime now) {
@@ -84,8 +82,6 @@ void FlatCalendar::apply_pending() {
     }
   }
   pending_.clear();
-  ++epoch_;
-  memo_.clear();
 }
 
 void FlatCalendar::trim(SimTime now) {
@@ -132,7 +128,7 @@ std::unique_ptr<Plan> FlatCalendar::plan(SimTime now) {
   return std::make_unique<FlatCalendarPlan>(*this, now);
 }
 
-FlatCalendarPlan::FlatCalendarPlan(FlatCalendar& base, SimTime now)
+FlatCalendarPlan::FlatCalendarPlan(const FlatCalendar& base, SimTime now)
     : base_(&base),
       origin_(now),
       total_(base.machine_->total_nodes()),
@@ -166,14 +162,14 @@ bool FlatCalendarPlan::fits_at(const Job& job, SimTime t) const {
   return true;
 }
 
-SimTime FlatCalendarPlan::scan_find_start(const Job& job, SimTime earliest) const {
+SimTime FlatCalendarPlan::find_start(const Job& job, SimTime earliest) const {
   assert(job.nodes <= total_);
   assert(base_gen_ == base_->gen_ && "stale plan view used across passes");
   const std::vector<FlatCalendar::Step>& base = base_->steps_;
   // One forward scan over the merged (base free minus overlay used) step
   // function: viable starts are `earliest` or a merged breakpoint; a
   // blocking segment restarts the candidate at the breakpoint after it.
-  SimTime candidate = earliest;
+  SimTime candidate = std::max(earliest, origin_);
   std::size_t i = segment_index(base, candidate);
   std::size_t j = segment_index(overlay_, candidate);
   while (true) {
@@ -194,13 +190,6 @@ SimTime FlatCalendarPlan::scan_find_start(const Job& job, SimTime earliest) cons
   }
   assert(false && "find_start: no slot for a fitting job");
   return kNever;
-}
-
-SimTime FlatCalendarPlan::find_start(const Job& job, SimTime earliest) const {
-  earliest = std::max(earliest, origin_);
-  if (!log_.empty()) return scan_find_start(job, earliest);
-  return base_->memo_.find_start(job, earliest,
-                                 [&] { return scan_find_start(job, earliest); });
 }
 
 void FlatCalendarPlan::add_usage(SimTime from, SimTime to, NodeCount nodes) {

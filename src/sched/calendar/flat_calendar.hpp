@@ -3,6 +3,7 @@
 // running set every pass.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -21,7 +22,6 @@ class FlatCalendar final : public PlanProvider {
   void on_job_start(const Job& job, SimTime now) override;
   void on_job_finish(JobId job, SimTime now) override;
   void resync() override;
-  [[nodiscard]] std::uint64_t epoch() const override { return epoch_; }
 
   /// One breakpoint of the free-capacity step function (value holds until
   /// the next breakpoint; the last segment extends forever).
@@ -54,13 +54,8 @@ class FlatCalendar final : public PlanProvider {
   /// Live holds mirrored from applied start deltas: job -> (end, nodes).
   std::map<JobId, std::pair<SimTime, NodeCount>> holds_;
   std::vector<Delta> pending_;
-  /// Bumps when the profile semantically changes (memo invalidation).
-  std::uint64_t epoch_ = 0;
   /// Bumps on any structural change incl. trims (view invalidation).
   std::uint64_t gen_ = 0;
-
-  /// find_start answers over the bare profile, cleared per epoch.
-  FindStartMemo memo_;
 };
 
 /// Plan view over a FlatCalendar: shared immutable base profile plus a
@@ -68,7 +63,7 @@ class FlatCalendar final : public PlanProvider {
 /// log. clone() copies the overlay and the log only.
 class FlatCalendarPlan final : public Plan {
  public:
-  FlatCalendarPlan(FlatCalendar& base, SimTime now);
+  FlatCalendarPlan(const FlatCalendar& base, SimTime now);
 
   [[nodiscard]] std::unique_ptr<Plan> clone() const override;
   [[nodiscard]] SimTime find_start(const Job& job, SimTime earliest) const override;
@@ -87,11 +82,10 @@ class FlatCalendarPlan final : public Plan {
     bool inserted_end;
   };
 
-  [[nodiscard]] SimTime scan_find_start(const Job& job, SimTime earliest) const;
   /// Add `nodes` (negative: remove) to the overlay on [from, to).
   void add_usage(SimTime from, SimTime to, NodeCount nodes);
 
-  FlatCalendar* base_;  // non-owning; outlives the view
+  const FlatCalendar* base_;  // non-owning; outlives the view
   SimTime origin_;
   NodeCount total_;
   std::uint64_t base_gen_;  // staleness check (debug)

@@ -27,8 +27,6 @@ void PartitionCalendar::rebuild(SimTime now) {
                    [](const Hold& a, const Hold& b) { return a.end < b.end; });
   pending_.clear();
   synced_ = true;
-  ++epoch_;
-  memo_.clear();
   timeline_dirty_ = true;
 }
 
@@ -40,7 +38,7 @@ std::size_t PartitionCalendar::Timeline::index_after(SimTime t) const {
 void PartitionCalendar::build_timeline() {
   // holds_ is kept in end order, so the timeline is one back-to-front
   // suffix pass writing one entry per distinct end time into storage the
-  // previous epoch already sized. Tier tables wait for their first query.
+  // previous build already sized. Tier tables wait for their first query.
   Timeline& tl = timeline_;
   std::size_t distinct = 0;
   for (std::size_t i = 0; i < holds_.size(); ++i) {
@@ -142,8 +140,6 @@ void PartitionCalendar::apply_pending() {
     }
   }
   pending_.clear();
-  ++epoch_;
-  memo_.clear();
   timeline_dirty_ = true;
 }
 
@@ -256,9 +252,11 @@ bool PartitionCalendarPlan::fits_at(const Job& job, SimTime t) const {
                      base_->timeline().index_after(t));
 }
 
-SimTime PartitionCalendarPlan::scan_find_start(const Job& job,
-                                               SimTime earliest) const {
+SimTime PartitionCalendarPlan::find_start(const Job& job,
+                                          SimTime earliest) const {
+  assert(base_gen_ == base_->gen_ && "stale plan view used across passes");
   assert(base_->machine_->fits(job));
+  earliest = std::max(earliest, origin_);
   const TierRef tr = tier_ref(job);
   // occupancy(job) is the tier size by construction.
   const NodeCount occ = base_->machine_->tiers()[tr.tier];
@@ -302,17 +300,6 @@ SimTime PartitionCalendarPlan::scan_find_start(const Job& job,
   }
   ovl_ends.clear();
   return t;
-}
-
-SimTime PartitionCalendarPlan::find_start(const Job& job,
-                                          SimTime earliest) const {
-  assert(base_gen_ == base_->gen_ && "stale plan view used across passes");
-  earliest = std::max(earliest, origin_);
-  if (!pinned_ovl_.empty() || !cap_ovl_.empty()) {
-    return scan_find_start(job, earliest);
-  }
-  return base_->memo_.find_start(job, earliest,
-                                 [&] { return scan_find_start(job, earliest); });
 }
 
 void PartitionCalendarPlan::commit(const Job& job, SimTime start) {

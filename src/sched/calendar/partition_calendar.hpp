@@ -20,7 +20,6 @@ class PartitionCalendar final : public PlanProvider {
   void on_job_start(const Job& job, SimTime now) override;
   void on_job_finish(JobId job, SimTime now) override;
   void resync() override;
-  [[nodiscard]] std::uint64_t epoch() const override { return epoch_; }
 
  private:
   friend class PartitionCalendarPlan;
@@ -36,8 +35,8 @@ class PartitionCalendar final : public PlanProvider {
   };
 
   /// One tier's view of the timeline, built when a query first reaches
-  /// the tier in an epoch (blocked_from empty until then); a pass touches
-  /// only the tiers it asks about.
+  /// the tier after a timeline build (blocked_from empty until then); a
+  /// pass touches only the tiers it asks about.
   struct TierTable {
     /// blocked_from[i]: OR of the machine's tier_conflicts over the holds
     /// with end >= ends[i] — the tier positions a start in
@@ -51,21 +50,21 @@ class PartitionCalendar final : public PlanProvider {
     std::size_t open_from = 0;
   };
 
-  /// Per-epoch derived timeline over the base holds. Every base hold
-  /// starts at or before the plan origin, so for any query time t >= origin
-  /// the holds overlapping [t, anything) are exactly the holds whose end
-  /// exceeds t — a suffix of the end-sorted hold list, starting at timeline
-  /// index i = index_after(t). The aggregates a query needs over that
-  /// suffix are computed once per epoch:
+  /// Derived timeline over the base holds, rebuilt after the hold set
+  /// changes. Every base hold starts at or before the plan origin, so for
+  /// any query time t >= origin the holds overlapping [t, anything) are
+  /// exactly the holds whose end exceeds t — a suffix of the end-sorted
+  /// hold list, starting at timeline index i = index_after(t). The
+  /// aggregates a query needs over that suffix are computed once per
+  /// build:
   ///   * occupied_from[i] = sum of their node occupancies (base capacity
   ///     usage at such a start; non-increasing in time, so it is also the
   ///     base's peak over any window starting there);
   ///   * tiers[tier].blocked_from[i], the tier positions they block.
   /// Index ends.size() stands for "past every hold": nothing blocked,
   /// nothing occupied. A query finds its index once and reads every
-  /// aggregate at it: scan_find_start carries the index along its
-  /// candidate walk, and each overlay entry records its start's index at
-  /// commit.
+  /// aggregate at it: find_start carries the index along its candidate
+  /// walk, and each overlay entry records its start's index at commit.
   struct Timeline {
     std::vector<SimTime> ends;  // distinct hold ends, ascending
     std::vector<NodeCount> occupied_from;
@@ -89,7 +88,7 @@ class PartitionCalendar final : public PlanProvider {
   /// The timeline for the current hold set (rebuilt lazily after deltas).
   [[nodiscard]] const Timeline& timeline();
   /// The tier's table in the timeline() already built, building it first
-  /// if this epoch has not needed it yet.
+  /// if no query has needed it since the timeline was built.
   [[nodiscard]] const TierTable& tier_table(std::size_t tier);
 
   void apply_pending();
@@ -107,13 +106,8 @@ class PartitionCalendar final : public PlanProvider {
   std::vector<Delta> pending_;
   Timeline timeline_;
   bool timeline_dirty_ = true;
-  /// Bumps when the hold set semantically changes (memo invalidation).
-  std::uint64_t epoch_ = 0;
   /// Bumps on any structural change incl. compaction (view invalidation).
   std::uint64_t gen_ = 0;
-
-  /// find_start answers over the bare hold set, cleared per epoch.
-  FindStartMemo memo_;
 };
 
 /// Plan view over a PartitionCalendar: shared immutable base holds plus
@@ -163,7 +157,6 @@ class PartitionCalendarPlan final : public Plan {
                                      std::size_t bi) const;
   [[nodiscard]] bool feasible_in(const TierRef& tr, Duration walltime,
                                  NodeCount occ, SimTime t, std::size_t bi) const;
-  [[nodiscard]] SimTime scan_find_start(const Job& job, SimTime earliest) const;
 
   PartitionCalendar* base_;  // non-owning; outlives the view
   SimTime origin_;
@@ -174,7 +167,7 @@ class PartitionCalendarPlan final : public Plan {
   /// one entry here and one in pinned_ovl_ with the same span, so the two
   /// are equally long exactly when the view holds no soft commit.
   std::vector<CapacityInterval> cap_ovl_;
-  /// Reused overlay-end buffer for scan_find_start (empty between calls,
+  /// Reused overlay-end buffer for find_start (empty between calls,
   /// so clones copy nothing; capacity persists across the whole search).
   mutable std::vector<SimTime> scratch_ends_;
   int last_placement_ = -1;

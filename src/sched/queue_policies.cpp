@@ -1,9 +1,37 @@
 #include "sched/queue_policies.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <compare>
+#include <cstdint>
 
 namespace amjs {
+namespace {
+
+/// A job's place under an order, compared field by field: the order's
+/// primary key (negated for the descending orders), then submit, then id.
+/// No two jobs share an id, so the order is total.
+struct OrderKey {
+  std::int64_t primary;
+  SimTime submit;
+  JobId id;
+
+  auto operator<=>(const OrderKey&) const = default;
+};
+
+/// The one definition of the five orders.
+OrderKey order_key(const Job& j, QueueOrder order) {
+  std::int64_t primary = j.submit;  // kFcfs
+  switch (order) {
+    case QueueOrder::kFcfs: break;
+    case QueueOrder::kSjf: primary = j.walltime; break;
+    case QueueOrder::kLjf: primary = -j.walltime; break;
+    case QueueOrder::kSmallestFirst: primary = j.nodes; break;
+    case QueueOrder::kLargestFirst: primary = -j.nodes; break;
+  }
+  return {primary, j.submit, j.id};
+}
+
+}  // namespace
 
 std::string to_string(QueueOrder order) {
   switch (order) {
@@ -17,55 +45,22 @@ std::string to_string(QueueOrder order) {
 }
 
 std::function<bool(const Job&, const Job&)> comparator(QueueOrder order) {
-  const auto tie = [](const Job& a, const Job& b) {
-    if (a.submit != b.submit) return a.submit < b.submit;
-    return a.id < b.id;
+  return [order](const Job& a, const Job& b) {
+    return order_key(a, order) < order_key(b, order);
   };
-  switch (order) {
-    case QueueOrder::kFcfs:
-      return tie;
-    case QueueOrder::kSjf:
-      return [tie](const Job& a, const Job& b) {
-        if (a.walltime != b.walltime) return a.walltime < b.walltime;
-        return tie(a, b);
-      };
-    case QueueOrder::kLjf:
-      return [tie](const Job& a, const Job& b) {
-        if (a.walltime != b.walltime) return a.walltime > b.walltime;
-        return tie(a, b);
-      };
-    case QueueOrder::kSmallestFirst:
-      return [tie](const Job& a, const Job& b) {
-        if (a.nodes != b.nodes) return a.nodes < b.nodes;
-        return tie(a, b);
-      };
-    case QueueOrder::kLargestFirst:
-      return [tie](const Job& a, const Job& b) {
-        if (a.nodes != b.nodes) return a.nodes > b.nodes;
-        return tie(a, b);
-      };
-  }
-  assert(false && "unknown queue order");
-  return tie;
-}
-
-SortSpec sort_spec(QueueOrder order) {
-  switch (order) {
-    case QueueOrder::kFcfs: return {SortKeyField::kSubmit, false};
-    case QueueOrder::kSjf: return {SortKeyField::kWalltime, false};
-    case QueueOrder::kLjf: return {SortKeyField::kWalltime, true};
-    case QueueOrder::kSmallestFirst: return {SortKeyField::kNodes, false};
-    case QueueOrder::kLargestFirst: return {SortKeyField::kNodes, true};
-  }
-  assert(false && "unknown queue order");
-  return {SortKeyField::kSubmit, false};
 }
 
 std::vector<JobId> sorted_queue(const SchedContext& ctx, QueueOrder order) {
-  // Served from the simulation's SortedQueueCache; every comparator() above
-  // is total with the same (field, submit, id) key chain, so the cached
-  // order equals the stable_sort of ctx.queue() under comparator(order).
-  return ctx.sorted_queue(sort_spec(order));
+  // Keys are gathered once, so the sort compares flat fields instead of
+  // looking jobs up per comparison.
+  std::vector<OrderKey> keys;
+  keys.reserve(ctx.queue().size());
+  for (const JobId id : ctx.queue()) keys.push_back(order_key(ctx.job(id), order));
+  std::sort(keys.begin(), keys.end());
+  std::vector<JobId> ids;
+  ids.reserve(keys.size());
+  for (const OrderKey& key : keys) ids.push_back(key.id);
+  return ids;
 }
 
 }  // namespace amjs

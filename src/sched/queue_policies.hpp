@@ -20,17 +20,13 @@ enum class QueueOrder {
 
 [[nodiscard]] std::string to_string(QueueOrder order);
 
-/// Stable comparator for `order`; ties fall back to (submit, id) so every
+/// Comparator for `order`; ties fall back to (submit, id) so every
 /// ordering is total and deterministic.
 [[nodiscard]] std::function<bool(const Job&, const Job&)> comparator(QueueOrder order);
 
-/// The SortedQueueCache key equivalent to comparator(order).
-[[nodiscard]] SortSpec sort_spec(QueueOrder order);
-
-/// The context's queue (submission order) sorted under `order`. Served
-/// from the simulation's sorted-queue cache: free when the queue is
-/// unchanged since the last pass, identical to stable_sorting ctx.queue()
-/// with comparator(order) always.
+/// The context's queue (submission order) sorted under `order`, freshly at
+/// every call. The order is total, so this equals stable_sorting
+/// ctx.queue() with comparator(order).
 [[nodiscard]] std::vector<JobId> sorted_queue(const SchedContext& ctx, QueueOrder order);
 
 }  // namespace amjs

@@ -22,10 +22,6 @@ SimSnapshot SchedContext::capture() const { return sim_.capture(); }
 Machine& SchedContext::machine() { return sim_.machine_; }
 const Machine& SchedContext::machine() const { return sim_.machine_; }
 
-std::vector<JobId> SchedContext::sorted_queue(SortSpec spec) const {
-  return sim_.queue_cache_.sorted(sim_.queue_, *sim_.trace_, spec);
-}
-
 std::unique_ptr<Plan> SchedContext::plan() const {
   return sim_.plan_provider_->plan(sim_.now_);
 }
@@ -72,7 +68,6 @@ bool SchedContext::start_job(JobId id, int placement) {
   const auto it = std::find(sim.queue_.begin(), sim.queue_.end(), id);
   assert(it != sim.queue_.end());
   sim.queue_.erase(it);
-  sim.queue_cache_.invalidate();
 
   sim.result_.busy_nodes.set(sim.now_,
                              static_cast<double>(sim.machine_.busy_nodes()));
@@ -189,7 +184,6 @@ void Simulator::handle_submit(JobId id) {
   }
   states_[static_cast<std::size_t>(id)] = JobState::kQueued;
   queue_.push_back(id);
-  queue_cache_.invalidate();
   if (auto* tr = config_.trace_sink) {
     tr->record(obs::TraceCategory::kJob, "submit", now_,
                {obs::arg("job", id), obs::arg("nodes", j.nodes)});
@@ -216,7 +210,6 @@ void Simulator::handle_end(JobId id) {
       ++stats.restarts;
       states_[static_cast<std::size_t>(id)] = JobState::kQueued;
       queue_.push_back(id);
-      queue_cache_.invalidate();
       if (auto* tr = config_.trace_sink) {
         tr->record(obs::TraceCategory::kJob, "fail_retry", now_,
                    {obs::arg("job", id),
@@ -347,7 +340,6 @@ SimResult Simulator::run(const JobTrace& trace) {
   machine_.reset();
   scheduler_.reset();
   plan_provider_->resync();
-  queue_cache_.invalidate();
   events_ = EventQueue{};
   queue_.clear();
   now_ = 0;
@@ -406,7 +398,6 @@ SimResult Simulator::resume(const JobTrace& trace, const SimSnapshot& snapshot,
     result_ = snapshot.result;
     machine_.restore_state(*snapshot.machine);
     plan_provider_->resync();
-    queue_cache_.invalidate();
     passes_run_ = 0;
     if (mode == ResumeScheduler::kRestore && snapshot.scheduler != nullptr) {
       scheduler_.restore_state(*snapshot.scheduler);
@@ -436,9 +427,9 @@ SimResult Simulator::resume(const JobTrace& trace, const SimSnapshot& snapshot,
 }
 
 SimResult Simulator::drain(SchedContext& ctx) {
-  while (!events_.empty()) {
-    if (config_.stop_after_last_job && unfinished_ == 0) break;
-
+  // Once every job is done only metric checks remain, and each one
+  // enqueues the next, so the run ends there.
+  while (!events_.empty() && unfinished_ > 0) {
     const SimTime t = events_.top().time;
     if (t > config_.stop_at) break;
     now_ = t;

@@ -16,7 +16,6 @@
 
 #include "platform/machine.hpp"
 #include "sched/calendar/calendar.hpp"
-#include "sched/calendar/queue_cache.hpp"
 #include "sim/events.hpp"
 #include "sim/failures.hpp"
 #include "sim/result.hpp"
@@ -44,12 +43,6 @@ class SchedContext {
 
   /// Waiting jobs in submission order.
   [[nodiscard]] const std::vector<JobId>& queue() const;
-
-  /// The queue sorted under `spec`, served from the simulation's
-  /// SortedQueueCache: re-sorted only when the queue changed since the
-  /// last pass (metric-check passes on an unchanged queue are hits).
-  /// Identical to stable_sorting queue() with the matching comparator.
-  [[nodiscard]] std::vector<JobId> sorted_queue(SortSpec spec) const;
 
   /// A Plan view of the machine's future as of now(), served by the
   /// simulation's PlanProvider (the machine model's incremental calendar
@@ -146,10 +139,6 @@ struct SimConfig {
   /// Keep per-event records (needed for Loss of Capacity). Large sweeps
   /// can disable to save memory.
   bool record_events = true;
-
-  /// Stop processing metric checks after the last job finishes (events
-  /// naturally drain). No effect on correctness; bounds the check count.
-  bool stop_after_last_job = true;
 
   /// If set, end the run as soon as this job has started — the fair-start
   /// oracle only needs one job's start time, so it truncates here.
@@ -260,9 +249,6 @@ class Simulator {
   /// reset/restore so SchedContext::plan() never pays a from-scratch
   /// rebuild on the hot path.
   std::unique_ptr<PlanProvider> plan_provider_;
-  /// Priority-order cache behind SchedContext::sorted_queue; invalidated
-  /// at every queue mutation.
-  mutable SortedQueueCache queue_cache_;
 
   // Per-run state.
   const JobTrace* trace_ = nullptr;

@@ -16,9 +16,9 @@
 // numbers preserved), which is what makes a checkpointed-then-resumed run
 // reproduce the uninterrupted run's SimResult bit for bit.
 //
-// Polymorphic machine/scheduler states go through the codec registry in
-// state_codec.hpp; snapshots of a policy without a registered codec fail
-// to serialize (cleanly, via Result).
+// Polymorphic machine/scheduler states go through the tag tables behind
+// state_codec.hpp; snapshots of a policy without a codec there fail to
+// serialize (cleanly, via Result).
 #pragma once
 
 #include <string>

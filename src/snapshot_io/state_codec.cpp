@@ -1,8 +1,9 @@
 #include "snapshot_io/state_codec.hpp"
 
+#include <cstddef>
 #include <optional>
+#include <string_view>
 #include <utility>
-#include <vector>
 
 #include "core/adaptive.hpp"
 #include "core/metric_aware.hpp"
@@ -286,42 +287,47 @@ Result<std::unique_ptr<SchedulerState>> decode_what_if(ByteReader& r) {
   return {std::move(s)};
 }
 
-// --- Registries. -------------------------------------------------------
+// --- Tag tables. -------------------------------------------------------
 
 template <typename Derived, typename Base>
 bool is_a(const Base& state) {
   return dynamic_cast<const Derived*>(&state) != nullptr;
 }
 
-std::vector<MachineStateCodec>& machine_registry() {
-  static std::vector<MachineStateCodec> registry = {
-      {"flat.v1", is_a<FlatMachineState, MachineState>, encode_flat, decode_flat},
-      {"partition.v1", is_a<PartitionMachineState, MachineState>,
-       encode_partition, decode_partition},
-  };
-  return registry;
-}
+/// One concrete state type's tag and functions. `matches` probes the
+/// concrete type on encode. `encode` returns Status so a wrapper codec can
+/// pass on a nested-encode failure (an inner state no codec covers)
+/// instead of emitting a structurally corrupt payload under a valid CRC.
+template <typename State>
+struct TaggedCodec {
+  std::string_view tag;
+  bool (*matches)(const State&);
+  Status (*encode)(ByteWriter&, const State&);
+  Result<std::unique_ptr<State>> (*decode)(ByteReader&);
+};
 
-std::vector<SchedulerStateCodec>& scheduler_registry() {
-  static std::vector<SchedulerStateCodec> registry = {
-      {"metric_aware.v1", is_a<MetricAwareState, SchedulerState>,
-       encode_metric_aware, decode_metric_aware},
-      {"adaptive.v1", is_a<AdaptiveState, SchedulerState>, encode_adaptive,
-       decode_adaptive},
-      {"what_if.v1", is_a<WhatIfState, SchedulerState>, encode_what_if,
-       decode_what_if},
-  };
-  return registry;
-}
+constexpr TaggedCodec<MachineState> kMachineCodecs[] = {
+    {"flat.v1", is_a<FlatMachineState, MachineState>, encode_flat, decode_flat},
+    {"partition.v1", is_a<PartitionMachineState, MachineState>, encode_partition,
+     decode_partition},
+};
 
-template <typename Codec, typename State>
-Status write_tagged(std::vector<Codec>& registry, ByteWriter& w,
+constexpr TaggedCodec<SchedulerState> kSchedulerCodecs[] = {
+    {"metric_aware.v1", is_a<MetricAwareState, SchedulerState>, encode_metric_aware,
+     decode_metric_aware},
+    {"adaptive.v1", is_a<AdaptiveState, SchedulerState>, encode_adaptive,
+     decode_adaptive},
+    {"what_if.v1", is_a<WhatIfState, SchedulerState>, encode_what_if, decode_what_if},
+};
+
+template <typename State, std::size_t N>
+Status write_tagged(const TaggedCodec<State> (&codecs)[N], ByteWriter& w,
                     const State* state, const char* kind) {
   if (state == nullptr) {
     w.str("");
     return Status::success();
   }
-  for (const Codec& codec : registry) {
+  for (const TaggedCodec<State>& codec : codecs) {
     if (!codec.matches(*state)) continue;
     w.str(codec.tag);
     return codec.encode(w, *state);
@@ -329,13 +335,13 @@ Status write_tagged(std::vector<Codec>& registry, ByteWriter& w,
   return Error{amjs::format("no {} state codec registered for this type", kind)};
 }
 
-template <typename Codec, typename State>
-Result<std::unique_ptr<State>> read_tagged(std::vector<Codec>& registry,
+template <typename State, std::size_t N>
+Result<std::unique_ptr<State>> read_tagged(const TaggedCodec<State> (&codecs)[N],
                                            ByteReader& r, const char* kind) {
   auto tag = r.str();
   if (!tag) return tag.error();
   if (tag.value().empty()) return std::unique_ptr<State>{};
-  for (const Codec& codec : registry) {
+  for (const TaggedCodec<State>& codec : codecs) {
     if (codec.tag == tag.value()) return codec.decode(r);
   }
   return Error{amjs::format("unknown {} state tag \"{}\"", kind, tag.value())};
@@ -343,30 +349,20 @@ Result<std::unique_ptr<State>> read_tagged(std::vector<Codec>& registry,
 
 }  // namespace
 
-void register_machine_state_codec(MachineStateCodec codec) {
-  machine_registry().push_back(std::move(codec));
-}
-
-void register_scheduler_state_codec(SchedulerStateCodec codec) {
-  scheduler_registry().push_back(std::move(codec));
-}
-
 Status write_machine_state(ByteWriter& w, const MachineState* state) {
-  return write_tagged(machine_registry(), w, state, "machine");
+  return write_tagged(kMachineCodecs, w, state, "machine");
 }
 
 Status write_scheduler_state(ByteWriter& w, const SchedulerState* state) {
-  return write_tagged(scheduler_registry(), w, state, "scheduler");
+  return write_tagged(kSchedulerCodecs, w, state, "scheduler");
 }
 
 Result<std::unique_ptr<MachineState>> read_machine_state(ByteReader& r) {
-  return read_tagged<MachineStateCodec, MachineState>(machine_registry(), r,
-                                                      "machine");
+  return read_tagged(kMachineCodecs, r, "machine");
 }
 
 Result<std::unique_ptr<SchedulerState>> read_scheduler_state(ByteReader& r) {
-  return read_tagged<SchedulerStateCodec, SchedulerState>(scheduler_registry(),
-                                                          r, "scheduler");
+  return read_tagged(kSchedulerCodecs, r, "scheduler");
 }
 
 }  // namespace amjs::snapshot_io

@@ -3,20 +3,16 @@
 //
 // The snapshot holds machine and scheduler state as abstract base
 // pointers; on disk each is a `tag` string followed by a tag-specific
-// payload. A registry maps concrete types (probed via dynamic_cast on
-// encode) to tags and decode functions, so downstream policies can make
-// their states checkpointable by registering a codec — the container
-// format (snapshot_codec.hpp) never changes.
+// payload. A fixed table per hierarchy maps concrete types (probed via
+// dynamic_cast on encode) to tags and decode functions.
 //
-// Built-in tags: "flat.v1", "partition.v1" (machines); "metric_aware.v1",
+// Tags: "flat.v1", "partition.v1" (machines); "metric_aware.v1",
 // "adaptive.v1", "what_if.v1" (schedulers). A null state writes the empty
 // tag. Wrapper states (adaptive, what-if) encode their inner state through
-// the same registry, so nesting composes.
+// the same table, so nesting composes.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <string>
 
 #include "platform/machine.hpp"
 #include "sim/simulator.hpp"
@@ -25,31 +21,8 @@
 
 namespace amjs::snapshot_io {
 
-struct MachineStateCodec {
-  std::string tag;
-  /// Does this codec handle the concrete type of `state`?
-  std::function<bool(const MachineState&)> matches;
-  /// Returns Status so wrapper codecs can propagate a nested-encode
-  /// failure (e.g. an unregistered inner state) instead of emitting a
-  /// structurally corrupt payload under a valid CRC.
-  std::function<Status(ByteWriter&, const MachineState&)> encode;
-  std::function<Result<std::unique_ptr<MachineState>>(ByteReader&)> decode;
-};
-
-struct SchedulerStateCodec {
-  std::string tag;
-  std::function<bool(const SchedulerState&)> matches;
-  std::function<Status(ByteWriter&, const SchedulerState&)> encode;
-  std::function<Result<std::unique_ptr<SchedulerState>>(ByteReader&)> decode;
-};
-
-/// Register a codec for a state type the built-ins don't cover. Not
-/// thread-safe; register at startup, before any encode/decode.
-void register_machine_state_codec(MachineStateCodec codec);
-void register_scheduler_state_codec(SchedulerStateCodec codec);
-
-/// Writes `tag` + payload; null writes the empty tag. Fails if no
-/// registered codec matches the concrete type.
+/// Writes `tag` + payload; null writes the empty tag. Fails if no codec
+/// in the table matches the concrete type.
 [[nodiscard]] Status write_machine_state(ByteWriter& w, const MachineState* state);
 [[nodiscard]] Status write_scheduler_state(ByteWriter& w, const SchedulerState* state);
 

@@ -11,11 +11,12 @@
 // requests see the new one, and the old world is freed when its last
 // request drops the reference (the osrm-style facade-swap discipline).
 //
-// One sharp edge: calendar plan views memoize find_start results into
-// the shared calendar even through const queries, so concurrent
-// projections on one World would race. World::project_start serializes
-// calendar access behind a per-world mutex — projections are
-// microsecond-scale, so the lock is invisible next to a what-if consult.
+// One sharp edge: a partition calendar's plan view builds its per-tier
+// tables on first use and reuses a scratch buffer, even through const
+// queries, so concurrent projections on one World would race.
+// World::project_start serializes calendar access behind a per-world
+// mutex — projections are microsecond-scale, so the lock is invisible
+// next to a what-if consult.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +79,7 @@ struct StartProjection {
 
 /// One immutable generation of the service's state. Built once, read by
 /// any number of requests, never mutated after build() returns — except
-/// the calendar memo, which project_start guards.
+/// the calendar's lazily built query tables, which project_start guards.
 class World {
  public:
   /// Restore the machine to the snapshot state and build the calendar
@@ -103,8 +104,8 @@ class World {
   std::unique_ptr<Machine> machine_;
   std::unique_ptr<PlanProvider> provider_;
   std::unique_ptr<Plan> plan_;
-  /// Serializes calendar queries: find_start memoizes into the shared
-  /// calendar under const.
+  /// Serializes calendar queries: a partition view's find_start fills
+  /// tier tables and a scratch buffer under const.
   mutable std::mutex plan_mutex_;
 };
 

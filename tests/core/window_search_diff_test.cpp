@@ -69,10 +69,9 @@ const T& pick(const std::vector<T>& values, Rng& rng) {
       rng.uniform_int(0, static_cast<std::int64_t>(values.size()) - 1))];
 }
 
-/// Decide `window` with the pruned and the reference search, each on its
-/// own plan of `kind` (so neither sees the other's memo entries), and
-/// require the same ids, starts, makespan and permutations_tried. Returns
-/// the reference's permutations_tried.
+/// Decide `window` with the pruned and the reference search, each on a
+/// fresh plan of `kind`, and require the same ids, starts, makespan and
+/// permutations_tried. Returns the reference's permutations_tried.
 std::size_t expect_matches_reference(const Machine& machine, PlanKind kind,
                                      const std::vector<const Job*>& window,
                                      SimTime now, int trial) {

@@ -237,8 +237,8 @@ TEST_P(PlanContractTest, CommitsNeverMoveFindStartEarlierAndAnswersHoldBackToThe
   //   (b) find_start(job, e') == find_start(job, e) for every e' in
   //       [e, find_start(job, e)] (sampled: both ends, the midpoint, the
   //       point just before the answer and a random point).
-  // On the calendars, the checks before the first commit go through the
-  // find_start memo; later ones through the overlay scan.
+  // On the calendars, the checks before the first commit scan the bare
+  // base; later ones scan the base and the overlay together.
   const auto [kind, source] = GetParam();
   Rng rng(kind == MachineKind::kFlat ? 41 : 43);
   for (int trial = 0; trial < 8; ++trial) {

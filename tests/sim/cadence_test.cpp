@@ -114,7 +114,6 @@ TEST(CadenceTest, ChecksStopAfterLastJob) {
   CountingScheduler sched;
   SimConfig config;
   config.metric_check_interval = minutes(30);
-  config.stop_after_last_job = true;
   Simulator sim(machine, sched, config);
   (void)sim.run(trace_of({make_job(0, minutes(10), 10)}));
   // Job ends at minute 10; at most the minute-30 check may fire before the
